@@ -84,35 +84,6 @@ impl StreakState {
 }
 
 impl HybridScheduler {
-    /// Creates a hybrid scheduler from DayDream history.
-    ///
-    /// Pre-registry constructor, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"hybrid\" through dd_baselines::registry() and build via SchedulerPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the policy registry, kept for one release
-    pub fn new(
-        history: &DayDreamHistory,
-        config: DayDreamConfig,
-        vendor: CloudVendor,
-        seeds: SeedStream,
-    ) -> Self {
-        Self::build(history, config, vendor, seeds)
-    }
-
-    /// AWS hybrid with default configuration.
-    ///
-    /// Pre-registry constructor, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"hybrid\" through dd_baselines::registry() and build via SchedulerPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the policy registry, kept for one release
-    pub fn aws(history: &DayDreamHistory, seeds: SeedStream) -> Self {
-        Self::build_aws(history, seeds)
-    }
-
     /// Crate-internal constructor the registry's [`crate::HybridPolicy`]
     /// builds through.
     pub(crate) fn build(
@@ -145,7 +116,8 @@ impl HybridScheduler {
         }
     }
 
-    /// Crate-internal AWS constructor with default configuration.
+    /// AWS hybrid with default configuration (unit tests).
+    #[cfg(test)]
     pub(crate) fn build_aws(history: &DayDreamHistory, seeds: SeedStream) -> Self {
         Self::build(history, DayDreamConfig::default(), CloudVendor::Aws, seeds)
     }

@@ -30,18 +30,6 @@ pub struct OracleScheduler {
 }
 
 impl OracleScheduler {
-    /// Creates an Oracle for (an exact copy of) the run about to execute.
-    ///
-    /// Pre-registry constructor, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"oracle\" through dd_baselines::registry() and build via SchedulerPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the policy registry, kept for one release
-    pub fn new(run: WorkflowRun, friendly_threshold: f64) -> Self {
-        Self::build(run, friendly_threshold)
-    }
-
     /// Crate-internal constructor the registry's [`crate::OraclePolicy`]
     /// builds through.
     pub(crate) fn build(run: WorkflowRun, friendly_threshold: f64) -> Self {

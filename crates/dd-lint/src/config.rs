@@ -31,7 +31,7 @@ pub struct RuleScope {
     /// segment must equal the function name; every earlier segment must
     /// match the symbol's crate, an inline-module segment, its impl type
     /// or its trait (e.g. `Executor::run`, `dd-bench::experiments::run`,
-    /// `dd-platform::DesFaasExecutor::serve_with`).
+    /// `dd-platform::DesFaasExecutor::run_with`).
     pub entry_points: Vec<String>,
     /// Fan-out sink patterns for `par-purity` (same syntax as
     /// `entry_points`): functions whose callees execute in parallel

@@ -45,8 +45,8 @@
 //!   `SchedulerPolicy` trait surface: inherent constructors (`new`,
 //!   `aws`, `from_*`) on `*Scheduler` types and free/inherent
 //!   `execute*` fns inside the policy crates. Schedulers are built
-//!   through `SchedulerPolicy::build` via the registry; the deprecated
-//!   pre-registry shims carry inline allows.
+//!   through `SchedulerPolicy::build` via the registry; the in-crate
+//!   `DayDreamScheduler` substrate constructors carry inline allows.
 //! * `par-purity` — a shared-mutability / nondeterminism / I/O token in
 //!   any function transitively reachable from the direct callers of a
 //!   configured fan-out *sink* (`par_map`, `FrontDoor::serve`). The sink
@@ -638,8 +638,8 @@ impl Workspace {
     /// free or inherent `pub fn execute*`, and inherent constructors
     /// (`new`, `aws`, `from_*`) on `*Scheduler` impl blocks. Trait
     /// methods (`impl SchedulerPolicy for ..`, `impl ServerlessScheduler
-    /// for ..`) are the sanctioned surface and exempt; the deprecated
-    /// back-compat shims carry inline allows.
+    /// for ..`) are the sanctioned surface and exempt; justified
+    /// exceptions carry inline allows.
     fn policy_api(&self, config: &Config, findings: &mut Vec<Finding>) {
         let scope = config.scope("policy-api");
         if scope.crates.is_empty() {
@@ -673,7 +673,7 @@ impl Workspace {
                     "`pub fn {}` adds a scheduler entry point outside the \
                      SchedulerPolicy trait; register the policy in the \
                      registry and build through SchedulerPolicy::build \
-                     (deprecated shims carry inline allows)",
+                     (justified exceptions carry inline allows)",
                     self.display(g)
                 ),
             });

@@ -26,7 +26,6 @@
 //! graph with `--emit callgraph.dot`, and exits nonzero when any
 //! unsuppressed finding remains.
 
-pub mod cache;
 pub mod config;
 pub mod effects;
 pub mod graph;
@@ -201,94 +200,6 @@ pub fn analyze_tree_with_config(root: &Path, config: &Config) -> Result<Analysis
 
     let workspace = Workspace::build(maps, reference_refs);
     findings.extend(workspace.run_rules(config));
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.column, &a.rule).cmp(&(&b.file, b.line, b.column, &b.rule))
-    });
-    Ok(Analysis {
-        findings,
-        workspace,
-    })
-}
-
-/// [`analyze_tree`] with the incremental cache (`--cache`): per-file
-/// pass-1 products are reused from `.dd-lint-cache.json` when the file's
-/// content hash is unchanged, and the cache is rewritten afterwards. The
-/// graph pass always runs fresh — one changed file can re-route any
-/// edge. Findings are byte-identical to the uncached path.
-pub fn analyze_tree_cached(root: &Path) -> Result<Analysis, String> {
-    let config_path = root.join(CONFIG_FILE);
-    let text = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("{}: {e}", config_path.display()))?;
-    let config = Config::parse(&text).map_err(|e| e.to_string())?;
-    let config_hash = cache::fnv1a(text.as_bytes());
-    let cache_path = root.join(cache::CACHE_FILE);
-    let old = cache::Cache::load(&cache_path, config_hash);
-    let mut new = cache::Cache {
-        config_hash,
-        ..Default::default()
-    };
-
-    let mut findings = Vec::new();
-    let mut maps = Vec::new();
-    for path in collect_sources(root).map_err(|e| format!("walk {}: {e}", root.display()))? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let hash = cache::fnv1a(source.as_bytes());
-        let entry = match old.files.get(&rel).filter(|e| e.hash == hash) {
-            Some(hit) => cache::FileEntry {
-                hash,
-                findings: hit.findings.clone(),
-                map: hit.map.clone(),
-            },
-            None => {
-                let crate_name = crate_of(&rel);
-                let classified = scan::classify(&source);
-                cache::FileEntry {
-                    hash,
-                    findings: rules::check_file(&rel, &crate_name, &classified, &config),
-                    map: symbols::extract_file(&rel, &crate_name, &classified),
-                }
-            }
-        };
-        findings.extend(entry.findings.iter().cloned());
-        maps.push(entry.map.clone());
-        new.files.insert(rel, entry);
-    }
-
-    let mut reference_refs = std::collections::BTreeSet::new();
-    for path in
-        collect_reference_sources(root).map_err(|e| format!("walk {}: {e}", root.display()))?
-    {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let hash = cache::fnv1a(source.as_bytes());
-        let idents = match old.references.get(&rel).filter(|e| e.hash == hash) {
-            Some(hit) => hit.idents.clone(),
-            None => {
-                let mut idents = std::collections::BTreeSet::new();
-                symbols::reference_idents(&scan::classify(&source), &mut idents);
-                idents
-            }
-        };
-        reference_refs.extend(idents.iter().cloned());
-        new.references.insert(rel, cache::RefEntry { hash, idents });
-    }
-
-    new.store(&cache_path)
-        .map_err(|e| format!("{}: {e}", cache_path.display()))?;
-
-    let workspace = Workspace::build(maps, reference_refs);
-    findings.extend(workspace.run_rules(&config));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.column, &a.rule).cmp(&(&b.file, b.line, b.column, &b.rule))
     });

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! dd-lint [--format human|json|sarif] [--emit PATH] [--effects PATH]
-//!         [--explain PATTERN] [--cache] [--root DIR]
+//!         [--explain PATTERN] [--root DIR]
 //! ```
 //!
 //! Without `--root`, the workspace root is found by walking up from the
@@ -12,9 +12,7 @@
 //! `callgraph.dot`); `--effects PATH` writes the inferred per-function
 //! effect table as JSON (conventionally `effects.json`); `--explain
 //! PATTERN` prints, instead of findings, the effect provenance of every
-//! function matching the entry-point pattern. `--cache` reuses per-file
-//! analysis products from `.dd-lint-cache.json` at the workspace root
-//! (and rewrites it) — findings are byte-identical to an uncached run.
+//! function matching the entry-point pattern.
 //!
 //! Exit codes are a stable contract, relied on by CI:
 //!
@@ -34,7 +32,7 @@ enum Format {
 }
 
 const USAGE: &str = "usage: dd-lint [--format human|json|sarif] [--emit PATH] \
-                     [--effects PATH] [--explain PATTERN] [--cache] [--root DIR]";
+                     [--effects PATH] [--explain PATTERN] [--root DIR]";
 
 /// Parsed command line.
 struct Options {
@@ -43,7 +41,6 @@ struct Options {
     emit: Option<PathBuf>,
     effects: Option<PathBuf>,
     explain: Option<String>,
-    cache: bool,
 }
 
 fn main() -> ExitCode {
@@ -84,7 +81,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         emit: None,
         effects: None,
         explain: None,
-        cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -111,7 +107,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 Some(pattern) => opts.explain = Some(pattern.clone()),
                 None => return Err("--explain expects an entry-point pattern".into()),
             },
-            "--cache" => opts.cache = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unexpected argument {other:?}")),
         }
@@ -121,12 +116,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 
 /// Runs the analysis and side outputs; returns the process exit code.
 fn run(opts: &Options, root: &Path) -> u8 {
-    let analysis = if opts.cache {
-        dd_lint::analyze_tree_cached(root)
-    } else {
-        dd_lint::analyze_tree(root)
-    };
-    let analysis = match analysis {
+    let analysis = match dd_lint::analyze_tree(root) {
         Ok(analysis) => analysis,
         Err(err) => {
             eprintln!("dd-lint: {err}");
@@ -189,14 +179,12 @@ mod tests {
         let opts = parse_args(&[
             "--format".into(),
             "sarif".into(),
-            "--cache".into(),
             "--effects".into(),
             "effects.json".into(),
         ])
         .unwrap()
         .unwrap();
         assert!(matches!(opts.format, Format::Sarif));
-        assert!(opts.cache);
         assert_eq!(opts.effects.as_deref(), Some(Path::new("effects.json")));
         assert!(parse_args(&["--help".into()]).unwrap().is_none());
         assert!(parse_args(&["--format".into()]).is_err());
@@ -216,7 +204,6 @@ mod tests {
             emit: None,
             effects: None,
             explain: None,
-            cache: false,
         };
 
         let config = "[rule.wall-clock]\ncrates = [\"*\"]\n";

@@ -8,8 +8,8 @@
 //! | `float-ord`       | N1 | NaN-unsafe float ordering via `partial_cmp` — require `f64::total_cmp` or `SimTime` |
 //! | `hot-path-panic`  | P1 | `panic!` / `.unwrap()` / `.expect(` in the DES event-loop hot path outside documented invariants |
 //! | `hot-path-alloc`  | P2 | `String::from` / `.to_string()` / `.clone()` / `format!` in the DES event-loop hot path — per-event allocation |
-//! | `executor-api`    | A1 | new `pub fn execute*` entry points outside the unified `Executor` trait (the deprecated shims carry inline allows) |
-//! | `policy-api`      | A3 | new `pub fn` scheduler entry points outside the `SchedulerPolicy` trait surface (graph rule — constructors and execute fns on scheduler types; the deprecated shims carry inline allows) |
+//! | `executor-api`    | A1 | new `pub fn execute*` entry points outside the unified `Executor` trait (the Pegasus cluster substrate carries an inline allow) |
+//! | `policy-api`      | A3 | new `pub fn` scheduler entry points outside the `SchedulerPolicy` trait surface (graph rule — constructors and execute fns on scheduler types; the in-crate `DayDreamScheduler` substrate constructors carry inline allows) |
 //! | `determinism-taint` | D4 | a call path from an `Executor::run` impl or experiment `run()` to a wall-clock/entropy/hash-iteration sink (graph rule — see [`crate::graph`]) |
 //! | `dead-pub-api`    | A2 | `pub` items unreachable from any bin, test, bench, or the facade (graph rule) |
 //! | `suppression`     | —  | malformed `dd-lint: allow(..)` directives (unknown rule, missing justification) |

@@ -3,12 +3,10 @@
 //! justified-allow fixture each, a non-ASCII fixture pinning code-point
 //! columns, `--explain` provenance, workspace-clean gates running each
 //! rule alone over the real tree with its production scoping from
-//! `dd-lint.toml`, and the incremental-cache contract (warm runs are
-//! byte-identical to cold, including after touching one file).
+//! `dd-lint.toml`.
 
 use dd_lint::{
-    analyze_sources, analyze_tree, analyze_tree_cached, analyze_tree_with_config,
-    render_sarif_with_effects, Analysis, Config, Finding,
+    analyze_sources, analyze_tree_with_config, render_sarif_with_effects, Analysis, Config, Finding,
 };
 use std::path::Path;
 
@@ -223,68 +221,4 @@ fn workspace_clean_under_recursive_effect_cycle() {
         f.is_empty(),
         "workspace has a nondet recursion cycle:\n{f:#?}"
     );
-}
-
-// ---------------------------------------------------------------------
-// Incremental cache: cold and warm runs over a temp tree are
-// byte-identical (findings, SARIF, effects.json), including after
-// touching one file.
-// ---------------------------------------------------------------------
-
-/// Every observable byte of one analysis, concatenated.
-fn report_bytes(a: &Analysis) -> String {
-    let table = a.effect_table();
-    let text: String = a.findings.iter().map(|f| format!("{f}\n")).collect();
-    format!(
-        "{text}\n{}\n{}",
-        render_sarif_with_effects(&a.findings, Some(&table)),
-        table.render_json()
-    )
-}
-
-#[test]
-fn cache_warm_run_is_byte_identical_to_cold() {
-    let root = std::env::temp_dir().join("dd-lint-cache-int");
-    std::fs::remove_dir_all(&root).ok();
-    std::fs::create_dir_all(root.join("crates/alpha/src")).unwrap();
-    std::fs::create_dir_all(root.join("crates/beta/src")).unwrap();
-    std::fs::write(
-        root.join(dd_lint::CONFIG_FILE),
-        "[rule.wall-clock]\ncrates = [\"*\"]\n",
-    )
-    .unwrap();
-    std::fs::write(
-        root.join("crates/alpha/src/lib.rs"),
-        "pub fn steady() -> u64 {\n    41\n}\n",
-    )
-    .unwrap();
-    let beta_v1 = "pub fn stamp() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-    std::fs::write(root.join("crates/beta/src/lib.rs"), beta_v1).unwrap();
-
-    let cold = analyze_tree_cached(&root).expect("cold run");
-    assert!(
-        root.join(dd_lint::cache::CACHE_FILE).is_file(),
-        "cold run must write the cache"
-    );
-    let warm = analyze_tree_cached(&root).expect("warm run");
-    let uncached = analyze_tree(&root).expect("uncached run");
-    assert_eq!(cold.findings.len(), 1, "{:#?}", cold.findings);
-    assert_eq!(report_bytes(&cold), report_bytes(&warm));
-    assert_eq!(report_bytes(&warm), report_bytes(&uncached));
-
-    // Touch one file: beta gains a second wall-clock read. The warm run
-    // reuses alpha's entry, re-scans beta, and still matches a fresh
-    // uncached analysis byte for byte.
-    let beta_v2 = "pub fn stamp() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n\npub fn stamp_again() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-    std::fs::write(root.join("crates/beta/src/lib.rs"), beta_v2).unwrap();
-    let warm_touched = analyze_tree_cached(&root).expect("warm run after touch");
-    let uncached_touched = analyze_tree(&root).expect("uncached run after touch");
-    assert_eq!(
-        warm_touched.findings.len(),
-        2,
-        "{:#?}",
-        warm_touched.findings
-    );
-    assert_eq!(report_bytes(&warm_touched), report_bytes(&uncached_touched));
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -225,7 +225,7 @@ fn workspace_clean_under_determinism_taint() {
 #[test]
 fn workspace_clean_under_graph_hot_path_panic() {
     let f = workspace_findings(
-        "[rule.hot-path-panic]\ncrates = [\"dd-platform\", \"dd-stats\", \"core\", \"dd-wfdag\"]\nfiles = [\"crates/dd-platform/src/des.rs\", \"crates/dd-platform/src/faas_des.rs\", \"crates/dd-platform/src/faults.rs\"]\nentry_points = [\"dd-platform::DesFaasExecutor::serve_with\"]\n",
+        "[rule.hot-path-panic]\ncrates = [\"dd-platform\", \"dd-stats\", \"core\", \"dd-wfdag\"]\nfiles = [\"crates/dd-platform/src/des.rs\", \"crates/dd-platform/src/faas_des.rs\", \"crates/dd-platform/src/books.rs\", \"crates/dd-platform/src/faults.rs\"]\nentry_points = [\"dd-platform::DesFaasExecutor::run_with\"]\n",
     );
     assert!(f.is_empty(), "workspace not panic-clean:\n{f:#?}");
 }
@@ -233,7 +233,7 @@ fn workspace_clean_under_graph_hot_path_panic() {
 #[test]
 fn workspace_clean_under_graph_hot_path_alloc() {
     let f = workspace_findings(
-        "[rule.hot-path-alloc]\ncrates = [\"dd-platform\"]\nfiles = [\"crates/dd-platform/src/des.rs\", \"crates/dd-platform/src/pool.rs\", \"crates/dd-platform/src/instance.rs\", \"crates/dd-platform/src/faas_des.rs\"]\nentry_points = [\"dd-platform::DesFaasExecutor::serve_with\"]\n",
+        "[rule.hot-path-alloc]\ncrates = [\"dd-platform\"]\nfiles = [\"crates/dd-platform/src/des.rs\", \"crates/dd-platform/src/pool.rs\", \"crates/dd-platform/src/instance.rs\", \"crates/dd-platform/src/faas_des.rs\", \"crates/dd-platform/src/books.rs\"]\nentry_points = [\"dd-platform::DesFaasExecutor::run_with\"]\n",
     );
     assert!(f.is_empty(), "workspace not alloc-clean:\n{f:#?}");
 }

@@ -3,9 +3,8 @@
 //! Both executors ([`crate::faas::FaasExecutor`] analytic,
 //! [`crate::faas_des::DesFaasExecutor`] event-driven) implement the one
 //! [`Executor`] trait; callers build a [`RunRequest`] and get back a
-//! [`RunReport`]. The legacy `execute` / `execute_traced` /
-//! `execute_with` entry points survive as deprecated shims over this
-//! trait (and dd-lint's `executor-api` rule blocks adding new ones).
+//! [`RunReport`]. It is the only execution entry point (dd-lint's
+//! `executor-api` rule blocks adding `execute*` ones beside it).
 //!
 //! The request is passed **by value**, not by reference: it carries the
 //! `&mut` scheduler and recorder borrows for the duration of the run, so

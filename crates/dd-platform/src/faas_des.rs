@@ -1,18 +1,19 @@
 //! Event-driven executor: the DES cross-check of [`crate::faas`].
 //!
-//! [`crate::faas::FaasExecutor`] computes each phase analytically (legal
-//! because microVMs don't preempt each other, so completion times are
-//! known at start). This module re-implements the *same semantics* on the
+//! [`FaasExecutor`] computes each phase analytically (legal because
+//! microVMs don't preempt each other, so completion times are known at
+//! start). [`DesFaasExecutor`] runs the *same semantics* on the
 //! discrete-event core ([`crate::des::EventQueue`]): component
 //! completions, the half-phase storage notification and phase boundaries
-//! are all explicit events popped in time order.
+//! are explicit events popped in time order.
 //!
-//! The two implementations must agree **exactly** — same service time,
-//! same ledger, same phase records, same [`crate::trace::ExecutionTrace`]
-//! and same recorder output — for every scheduler; the test suite (and
-//! `tests/end_to_end.rs` at the workspace root) asserts it. A divergence
-//! means one of the two models has a semantics bug, which is precisely
-//! what an analytic shortcut can otherwise hide.
+//! Both drive one shared execution core (placement, fault timelines,
+//! billing, pools, trace and recorder emission) and keep only their own
+//! way of advancing virtual time. They must agree **exactly** — same
+//! [`RunOutcome`](crate::RunOutcome), trace and recorder output — for
+//! every scheduler; the test suite (and `tests/end_to_end.rs`) asserts
+//! it. A divergence means one time-advance model has a bug, which is
+//! precisely what an analytic shortcut can otherwise hide.
 //!
 //! # API mapping
 //!
@@ -30,19 +31,14 @@
 //! | [`Executor::run`]                 | [`Executor::run`]                    |
 //! | —                                 | [`DesFaasExecutor::run_with`] (session reuse) |
 
+use crate::books::{PhaseScratch, PhaseTally, Platform, RunBooks};
 use crate::des::{EventQueue, SimTime};
-use crate::executor::{self as obs, ComponentObs, Executor, RunReport, RunRequest};
-use crate::faas::{FaasConfig, FaasExecutor, PoolTrigger};
-use crate::faults::{FaultPlan, FaultStats};
-use crate::pool::{resolve_slot, InstanceId, InstanceView, PoolRequest, PooledInstance};
+use crate::executor::{Executor, RunReport, RunRequest};
+#[cfg(doc)]
+use crate::faas::FaasExecutor;
+use crate::faas::{FaasConfig, PoolTrigger};
 use crate::pricing::PriceSheet;
-use crate::sched::{observe_phase, PhaseObservation, RunInfo, ServerlessScheduler, StartKind};
 use crate::startup::StartupModel;
-use crate::telemetry::{CostLedger, PhaseRecord, RunOutcome, Utilization};
-use crate::tier::Tier;
-use crate::trace::{AttemptTrace, ComponentTrace, ExecutionTrace, PoolTrace};
-use dd_obs::{NoopRecorder, Recorder};
-use dd_wfdag::{LanguageRuntime, WorkflowRun};
 
 /// Events of the serverless execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,8 +50,7 @@ enum Event {
 }
 
 /// The per-event-hot slice of a phase's state: the three fields every
-/// `ComponentDone` event touches, packed so the counter bump of the most
-/// frequent event stays within one cache line per phase.
+/// `ComponentDone` event touches, packed into one cache line per phase.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseCounters {
     expected: u32,
@@ -63,76 +58,26 @@ struct PhaseCounters {
     half_fired: bool,
 }
 
-/// The per-phase state read only at dispatch, trigger or phase end —
-/// split from [`PhaseCounters`] (struct-of-arrays) so completion events
-/// do not drag these cold bytes through the cache.
-#[derive(Debug, Default)]
-struct PhaseCold {
-    warm: u32,
-    hot: u32,
-    cold: u32,
-    wasted: u32,
-    pool_size: u32,
-    retried: u32,
-    overhead_sum: f64,
-    started_at: SimTime,
-    // Run-ledger snapshots taken at phase start; the per-phase books are
-    // the growth since (same attribution scheme as the analytic
-    // executor's, so the deltas agree bitwise).
-    ledger_mark: CostLedger,
-    faults_mark: FaultStats,
-    // The observation built when the pool trigger fired, reused verbatim
-    // at phase end (its contents are already final at trigger time), so
-    // each phase pays for at most one `observe_phase` scan.
-    observation: Option<PhaseObservation>,
-}
-
-/// Struct-of-arrays phase state: `counters[p]` is the hot slice,
-/// `cold[p]` the rest. The two vectors grow in lock-step.
+/// Struct-of-arrays phase state: `counters[p]` is the hot slice, `cold[p]`
+/// the tally read only at the trigger and at phase end, so completion
+/// events do not drag its bytes through the cache (lock-step vectors).
 #[derive(Debug, Default)]
 struct PhaseStateSoA {
     counters: Vec<PhaseCounters>,
-    cold: Vec<PhaseCold>,
-}
-
-impl PhaseStateSoA {
-    fn clear(&mut self) {
-        self.counters.clear();
-        self.cold.clear();
-    }
-
-    fn len(&self) -> usize {
-        debug_assert_eq!(self.counters.len(), self.cold.len());
-        self.counters.len()
-    }
-
-    fn push(&mut self, counters: PhaseCounters, cold: PhaseCold) {
-        self.counters.push(counters);
-        self.cold.push(cold);
-    }
+    cold: Vec<PhaseTally>,
 }
 
 /// Reusable simulation state for [`DesFaasExecutor`].
 ///
-/// Multi-run sweeps pay a measurable price for re-allocating the event
-/// heap and per-phase scratch buffers on every run. A session keeps those
-/// allocations alive across [`DesFaasExecutor::run_with`] calls; it is
-/// fully reset at the start of each execution, so results are bit-identical
-/// to a fresh [`Executor::run`] — the workspace test suite asserts this
-/// invariance.
+/// Keeps the event heap and per-phase buffers allocated across
+/// [`DesFaasExecutor::run_with`] calls of a multi-run sweep. It is fully
+/// reset at the start of each execution, so results are bit-identical to
+/// a fresh [`Executor::run`] (the workspace test suite asserts this).
 #[derive(Debug, Default)]
 pub struct DesSession {
     queue: EventQueue<Event>,
     progress: PhaseStateSoA,
-    // Per-phase scratch: invocation slots, pool-usage flags, pool views.
-    slots: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
-    used: Vec<bool>,
-    views: Vec<InstanceView>,
-    // Instance-record arenas: the active pool and the one being prepared
-    // for the next phase. Swapped (never freed) at each phase start, so a
-    // steady-state run allocates no pool storage at all.
-    pool: Vec<PooledInstance>,
-    pending_pool: Vec<PooledInstance>,
+    scratch: PhaseScratch,
 }
 
 impl DesSession {
@@ -140,35 +85,22 @@ impl DesSession {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Resets all state while keeping allocations.
-    fn reset(&mut self) {
-        self.queue.clear();
-        self.progress.clear();
-        self.slots.clear();
-        self.used.clear();
-        self.views.clear();
-        self.pool.clear();
-        self.pending_pool.clear();
-    }
 }
 
 /// The event-driven executor.
 ///
-/// Construction mirrors [`FaasExecutor`]; the `execute` method produces a
-/// [`RunOutcome`] through event flow instead of per-phase arithmetic.
+/// Construction mirrors [`FaasExecutor`]; a run produces its
+/// [`RunReport`] through event flow instead of per-phase arithmetic.
 #[derive(Debug, Clone)]
 pub struct DesFaasExecutor {
-    analytic: FaasExecutor,
-    config: FaasConfig,
+    platform: Platform,
 }
 
 impl DesFaasExecutor {
     /// Creates an event-driven executor with the given configuration.
     pub fn new(config: FaasConfig) -> Self {
         Self {
-            analytic: FaasExecutor::new(config),
-            config,
+            platform: Platform::new(config),
         }
     }
 
@@ -177,151 +109,49 @@ impl DesFaasExecutor {
         Self::new(FaasConfig::default())
     }
 
-    /// Replaces the start-up model (mirrors
-    /// [`FaasExecutor::with_startup`]).
+    /// Replaces the start-up model ([`FaasExecutor::with_startup`]).
     pub fn with_startup(mut self, startup: StartupModel) -> Self {
-        self.analytic = self.analytic.with_startup(startup);
+        self.platform.startup = startup;
         self
     }
 
     /// The active price sheet (mirrors [`FaasExecutor::pricing`]).
     pub fn pricing(&self) -> &PriceSheet {
-        self.analytic.pricing()
+        &self.platform.pricing
     }
 
     /// The active start-up model (mirrors [`FaasExecutor::startup`]).
     pub fn startup(&self) -> &StartupModel {
-        self.analytic.startup()
+        &self.platform.startup
     }
 
     /// The active configuration (mirrors [`FaasExecutor::config`]).
     pub fn config(&self) -> &FaasConfig {
-        &self.config
+        &self.platform.config
     }
 
-    /// Deprecated shim over [`Executor::run`].
-    #[deprecated(note = "build a RunRequest and call Executor::run instead")]
-    // dd-lint: allow(executor-api): deprecated back-compat shim over Executor::run, kept for one release
-    pub fn execute(
-        &self,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        scheduler: &mut dyn ServerlessScheduler,
-    ) -> RunOutcome {
-        self.serve_with(
-            &mut DesSession::new(),
-            RunRequest::new(run, runtimes, scheduler),
-        )
-        .into_outcome()
-    }
-
-    /// Deprecated shim over [`DesFaasExecutor::run_with`].
-    #[deprecated(note = "build a RunRequest and call DesFaasExecutor::run_with instead")]
-    // dd-lint: allow(executor-api): deprecated back-compat shim over run_with, kept for one release
-    pub fn execute_with(
-        &self,
-        session: &mut DesSession,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        scheduler: &mut dyn ServerlessScheduler,
-    ) -> RunOutcome {
-        self.serve_with(session, RunRequest::new(run, runtimes, scheduler))
-            .into_outcome()
-    }
-
-    /// Executes a [`RunRequest`] reusing `session`'s allocations — the
-    /// fast path for multi-run sweeps. Produces exactly the same report
-    /// as [`Executor::run`] regardless of what the session ran before.
-    pub fn run_with(&self, session: &mut DesSession, req: RunRequest<'_>) -> RunReport {
-        self.serve_with(session, req)
-    }
-
-    /// Executes a [`RunRequest`], event by event — the single entry point
-    /// behind the [`Executor`] impl, [`DesFaasExecutor::run_with`] and the
-    /// deprecated shims.
+    /// Executes a [`RunRequest`] event by event, reusing `session`'s
+    /// allocations — the fast path for multi-run sweeps. Produces exactly
+    /// the same report as [`Executor::run`] (and as [`FaasExecutor`])
+    /// regardless of what the session ran before.
     ///
-    /// The scheduler callback order is identical to the analytic
-    /// executor's (initial pool → per phase: place, half-phase pool
-    /// request, observation), so a deterministic scheduler produces the
-    /// same decisions under both; recorder emissions follow the canonical
-    /// order documented on [`crate::executor`], so exports agree byte for
-    /// byte too.
-    fn serve_with(&self, session: &mut DesSession, req: RunRequest<'_>) -> RunReport {
-        let RunRequest {
-            run,
-            runtimes,
-            scheduler,
-            recorder,
-            collect_trace,
-            faults: fault_override,
-        } = req;
-        let mut noop = NoopRecorder;
-        let rec: &mut dyn Recorder = match recorder {
-            Some(r) => r,
-            None => &mut noop,
-        };
-        let recording = rec.enabled();
-        if recording {
-            obs::declare_metrics(rec);
-        }
-        scheduler.set_event_recording(recording);
-        let mut trace = collect_trace.then(ExecutionTrace::default);
-        session.reset();
-        let pricing = *self.analytic.pricing();
-        let startup = *self.analytic.startup();
-
-        let mut ledger = CostLedger::default();
-        let mut utilization = Utilization::default();
-        let mut records: Vec<PhaseRecord> = Vec::with_capacity(run.phases.len());
-        let mut next_instance_id = 0u64;
-        // Same fault plan as the analytic executor builds for this run —
-        // single engine, so faulty runs agree by construction. A
-        // request-level override replaces the configured plan wholesale.
-        let (fault_cfg, recovery) =
-            fault_override.unwrap_or((self.config.faults, self.config.recovery));
-        let faults = fault_cfg.absorbing_startup(&startup);
-        let plan = FaultPlan::for_run(faults, recovery, run.label.run_index as u64);
-        let mut fault_stats = FaultStats::default();
-        // Storage hints are sampled once per run (identically to the
-        // analytic executor); zero fractions keep the event arithmetic
-        // byte-identical to the hint-less path.
-        let hints = scheduler.storage_hints().clamped();
-
-        let info = RunInfo {
-            workflow: run.label.workflow,
-            runtimes: runtimes.to_vec(),
-            phase_count: run.phases.len(),
-        };
-
+    /// # Panics
+    /// Panics if a phase has no components or the scheduler returns
+    /// malformed placements, exactly as [`FaasExecutor`] does.
+    pub fn run_with(&self, session: &mut DesSession, req: RunRequest<'_>) -> RunReport {
         let DesSession {
             queue,
             progress,
-            slots,
-            used,
-            views,
-            pool,
-            pending_pool,
+            scratch,
         } = session;
-
-        // Pool awaiting the next phase start.
-        spawn_into(
-            pending_pool,
-            &startup,
-            scheduler.initial_pool(&info),
-            SimTime::ZERO,
-            runtimes,
-            &mut next_instance_id,
-            self.config.provisioned_concurrency,
-        );
-        if recording {
-            obs::emit_sched_events(rec, SimTime::ZERO, scheduler);
-            obs::emit_pool(rec, 0, SimTime::ZERO, pending_pool);
-        }
-
+        queue.clear();
+        progress.counters.clear();
+        progress.cold.clear();
+        let mut books = RunBooks::open(self.platform, req, scratch);
+        let run = books.run;
         progress.counters.reserve(run.phases.len());
         progress.cold.reserve(run.phases.len());
         let mut end_time = SimTime::ZERO;
-
         if !run.phases.is_empty() {
             queue.push(SimTime::ZERO, Event::PhaseStart { phase: 0 });
         }
@@ -333,352 +163,38 @@ impl DesFaasExecutor {
             events_popped += 1;
             match event {
                 Event::PhaseStart { phase } => {
-                    let now = at.after(scheduler.overhead_secs());
-                    let phase_ref = &run.phases[phase];
-                    if let Some(t) = trace.as_mut() {
-                        t.phase_starts.push(now);
-                    }
-                    std::mem::swap(pool, pending_pool);
-                    pending_pool.clear();
-                    views.clear();
-                    views.extend(pool.iter().map(InstanceView::from));
-                    let placements = scheduler.place(phase_ref, views, now);
-                    if recording {
-                        obs::emit_place(
-                            rec,
-                            phase,
-                            at,
-                            scheduler.overhead_secs(),
-                            phase_ref.components.len(),
-                        );
-                        obs::emit_sched_events(rec, now, scheduler);
-                    }
-                    dd_invariant!(
-                        placements.len() == phase_ref.components.len(),
-                        "scheduler returned {} placements for {} components",
-                        placements.len(),
-                        phase_ref.components.len()
+                    let tally = books.start_phase(phase, at, scratch, |finish, _| {
+                        queue.push(finish, Event::ComponentDone { phase });
+                    });
+                    dd_debug_invariant!(
+                        progress.cold.len() == phase,
+                        "phase {phase} started out of order ({} records)",
+                        progress.cold.len()
                     );
-
-                    let counters = PhaseCounters {
-                        expected: phase_ref.components.len() as u32,
+                    progress.counters.push(PhaseCounters {
+                        expected: run.phases[phase].concurrency(),
                         completed: 0,
                         half_fired: false,
-                    };
-                    let mut prog = PhaseCold {
-                        pool_size: pool.len() as u32,
-                        started_at: now,
-                        ledger_mark: ledger,
-                        faults_mark: fault_stats,
-                        ..PhaseCold::default()
-                    };
-
-                    used.clear();
-                    used.resize(pool.len(), false);
-                    slots.clear();
-                    for (comp_slot, (component, placement)) in
-                        phase_ref.components.iter().zip(&placements).enumerate()
-                    {
-                        let mut pool_slot = None;
-                        let (tier, kind, start, overhead) = match placement.instance {
-                            Some(id) => {
-                                let slot = resolve_slot(pool, id);
-                                pool_slot = Some(slot);
-                                dd_invariant!(
-                                    !used[slot],
-                                    "instance {id} placed twice in one phase"
-                                );
-                                used[slot] = true;
-                                let inst = &pool[slot];
-                                let kind = match inst.preload {
-                                    None => StartKind::Hot,
-                                    Some(ty) if ty == component.type_id => StartKind::Warm,
-                                    // dd-lint: allow(hot-path-panic): warm instances are only handed to their preloaded component type; a mismatch is a placement bug
-                                    Some(_) => panic!("mispaired warm instance"),
-                                };
-                                let start = now.max(inst.ready_at);
-                                let overhead = match kind {
-                                    StartKind::Warm => {
-                                        startup.warm_overhead_secs(component, inst.tier)
-                                    }
-                                    StartKind::Hot => {
-                                        startup.hot_overhead_secs(component, inst.tier)
-                                    }
-                                    // A pooled instance is always hot or
-                                    // warm by construction (kind derives
-                                    // from `preload` just above); if a
-                                    // future fault path ever downgrades
-                                    // one, fall back to the cold overhead
-                                    // instead of panicking mid-run.
-                                    StartKind::Cold => {
-                                        dd_debug_invariant!(
-                                            false,
-                                            "pooled instance {id} resolved to a cold start"
-                                        );
-                                        startup.cold_overhead_secs(component, inst.tier, runtimes)
-                                    }
-                                };
-                                (inst.tier, kind, start, overhead)
-                            }
-                            None => {
-                                let tier = placement.tier;
-                                (
-                                    tier,
-                                    StartKind::Cold,
-                                    now,
-                                    startup.cold_overhead_secs(component, tier, runtimes),
-                                )
-                            }
-                        };
-                        match kind {
-                            StartKind::Warm => prog.warm += 1,
-                            StartKind::Hot => prog.hot += 1,
-                            StartKind::Cold => prog.cold += 1,
-                        }
-                        // Fault engine: identical call (and arithmetic) to
-                        // the analytic executor's — a strict no-op when
-                        // every rate is zero.
-                        let exec = tier.exec_secs(component)
-                            * startup.exec_multiplier(kind == StartKind::Cold);
-                        let mut write = startup.output_write_secs(component, tier);
-                        if hints.batched_write_fraction > 0.0 {
-                            // Same batched-write elision as the analytic
-                            // executor, per component.
-                            write *= 1.0 - hints.batched_write_fraction;
-                        }
-                        let timeline = plan.timeline(phase, comp_slot, overhead, exec, write);
-                        // Drain finished executions so the heap tracks the
-                        // set *currently running* instead of growing all
-                        // phase long.
-                        let mut heap_drains = 0u64;
-                        while slots
-                            .peek()
-                            .is_some_and(|&std::cmp::Reverse(free)| free <= start)
-                        {
-                            slots.pop();
-                            heap_drains += 1;
-                        }
-                        let start = if slots.len() >= self.config.invocation_limit {
-                            // dd-lint: allow(hot-path-panic): len() >= limit >= 1 guarantees a poppable slot on this branch
-                            let std::cmp::Reverse(free) = slots.pop().expect("at limit");
-                            start.max(free)
-                        } else {
-                            start
-                        };
-                        let mut keep_alive_secs = None;
-                        if let Some(slot) = pool_slot {
-                            let inst = &pool[slot];
-                            let idle = start.since(inst.requested_at);
-                            ledger.keep_alive_used += pricing.cost(inst.tier, idle);
-                            utilization.record_idle(inst.tier, idle);
-                            keep_alive_secs = Some(idle);
-                        }
-                        let finish = start.after(timeline.completion_offset_secs);
-                        // Recovery may only push a completion later, never
-                        // rewind it: the DES clock is monotone even under
-                        // retries, timeouts and speculation.
-                        dd_invariant!(
-                            finish >= start,
-                            "phase {phase} slot {comp_slot}: recovery rewound completion to {finish} before start {start}"
-                        );
-                        slots.push(std::cmp::Reverse(finish));
-                        if let Some(t) = trace.as_mut() {
-                            t.components.push(ComponentTrace {
-                                phase,
-                                slot: comp_slot,
-                                kind,
-                                tier,
-                                instance: placement.instance,
-                                start,
-                                overhead_secs: timeline.overhead_secs,
-                                exec_secs: exec,
-                                write_secs: write,
-                                attempts: timeline.attempt_count(),
-                                recovery_secs: timeline.recovery_secs,
-                            });
-                            for a in &timeline.attempts {
-                                t.attempts.push(AttemptTrace {
-                                    phase,
-                                    slot: comp_slot,
-                                    attempt: a.index,
-                                    speculative: a.speculative,
-                                    fault: a.fault,
-                                    outcome: a.outcome,
-                                    start: start.after(a.start_offset_secs),
-                                    busy_secs: a.busy_secs,
-                                });
-                            }
-                        }
-                        if recording {
-                            obs::emit_component(
-                                rec,
-                                &ComponentObs {
-                                    phase,
-                                    slot: comp_slot,
-                                    kind,
-                                    tier,
-                                    start,
-                                    timeline: &timeline,
-                                    keep_alive_secs,
-                                    heap_drains,
-                                },
-                            );
-                        }
-                        let billed = start.after(timeline.primary_busy_secs).since(start);
-                        ledger.execution += pricing.cost(tier, billed);
-                        // Losing attempts bill to the separate retry
-                        // component (billed-but-unused capacity).
-                        if timeline.retry_busy_secs > 0.0 {
-                            ledger.retry += pricing.cost(tier, timeline.retry_busy_secs);
-                            utilization.record_idle(tier, timeline.retry_busy_secs);
-                        }
-                        prog.retried += u32::from(timeline.retried());
-                        if !plan.is_clean() {
-                            fault_stats.absorb(&timeline);
-                        }
-                        prog.overhead_sum += timeline.overhead_secs;
-                        utilization.record_execution(
-                            tier,
-                            exec,
-                            billed,
-                            component.cpu_demand * Tier::HighEnd.vcpus(),
-                            component.mem_gb,
-                            startup.data_fetch_secs(component, tier) + write,
-                        );
-                        queue.push(finish, Event::ComponentDone { phase });
-                    }
-
-                    for (inst, &was_used) in pool.iter().zip(used.iter()) {
-                        if !was_used {
-                            prog.wasted += 1;
-                            ledger.keep_alive_wasted +=
-                                pricing.cost(inst.tier, now.since(inst.requested_at));
-                            utilization.record_idle(inst.tier, now.since(inst.requested_at));
-                            if recording {
-                                rec.record(
-                                    obs::metrics::KEEP_ALIVE_WASTED_SECS,
-                                    now.since(inst.requested_at),
-                                );
-                            }
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.pool.push(PoolTrace {
-                                instance: inst.id,
-                                tier: inst.tier,
-                                warm: inst.preload.is_some(),
-                                requested_at: inst.requested_at,
-                                ready_at: inst.ready_at,
-                                used: was_used,
-                                released_at: now.max(inst.ready_at),
-                            });
-                        }
-                    }
-                    dd_debug_invariant!(
-                        progress.len() == phase,
-                        "phase {phase} started out of order ({} records)",
-                        progress.len()
-                    );
-                    progress.push(counters, prog);
+                    });
+                    progress.cold.push(tally);
                 }
                 Event::ComponentDone { phase } => {
                     let ctr = &mut progress.counters[phase];
+                    let tally = &mut progress.cold[phase];
                     ctr.completed += 1;
-
-                    let half_threshold = ctr.expected.div_ceil(2);
                     let phase_done = ctr.completed == ctr.expected;
-                    let half_reached = ctr.completed >= half_threshold && !ctr.half_fired;
-
                     // Half-phase trigger (or phase-complete, per config).
-                    let trigger_now = match self.config.trigger {
-                        PoolTrigger::HalfPhase => half_reached,
-                        PoolTrigger::PhaseComplete => phase_done && !ctr.half_fired,
-                    };
-                    if trigger_now && phase + 1 < run.phases.len() {
-                        ctr.half_fired = true;
-                        let prog = &mut progress.cold[phase];
-                        let mut observation =
-                            observe_phase(&run.phases[phase], self.config.friendly_threshold);
-                        // Attempt timelines are resolved at dispatch, so
-                        // the phase's retry count is already final here.
-                        observation.retried_components = prog.retried;
-                        let request = scheduler.pool_for_next_phase(phase, &observation);
-                        // Keep the observation for phase end: its contents
-                        // are final, so the end-of-phase callback can skip
-                        // a second scan of the phase's components.
-                        prog.observation = Some(observation);
-                        spawn_into(
-                            pending_pool,
-                            &startup,
-                            request,
-                            at,
-                            runtimes,
-                            &mut next_instance_id,
-                            self.config.provisioned_concurrency,
-                        );
-                        if recording {
-                            obs::emit_sched_events(rec, at, scheduler);
-                            obs::emit_pool(rec, phase + 1, at, pending_pool);
-                        }
-                    } else if trigger_now {
-                        ctr.half_fired = true;
-                    }
-
-                    if phase_done {
-                        let expected = progress.counters[phase].expected;
-                        let prog = &mut progress.cold[phase];
-                        // Pool hot/cold accounting must close exactly:
-                        // every component started exactly once, and every
-                        // pooled instance was either consumed or wasted.
-                        dd_debug_invariant!(
-                            prog.warm + prog.hot + prog.cold == expected,
-                            "phase {phase} start-kind accounting: {}+{}+{} != {} components",
-                            prog.warm,
-                            prog.hot,
-                            prog.cold,
-                            expected
-                        );
-                        dd_debug_invariant!(
-                            prog.warm + prog.hot + prog.wasted == prog.pool_size,
-                            "phase {phase} pool accounting: used {} + wasted {} != pool {}",
-                            prog.warm + prog.hot,
-                            prog.wasted,
-                            prog.pool_size
-                        );
-                        let mut observation = match prog.observation.take() {
-                            Some(observation) => observation,
-                            None => {
-                                observe_phase(&run.phases[phase], self.config.friendly_threshold)
-                            }
+                    let trigger_now = !ctr.half_fired
+                        && match self.platform.config.trigger {
+                            PoolTrigger::HalfPhase => ctr.completed >= ctr.expected.div_ceil(2),
+                            PoolTrigger::PhaseComplete => phase_done,
                         };
-                        observation.retried_components = prog.retried;
-                        scheduler.observe_phase(&observation);
-                        records.push(PhaseRecord {
-                            index: phase,
-                            concurrency: expected,
-                            pool_size: prog.pool_size,
-                            warm_starts: prog.warm,
-                            hot_starts: prog.hot,
-                            cold_starts: prog.cold,
-                            used_instances: prog.warm + prog.hot,
-                            wasted_instances: prog.wasted,
-                            exec_secs: at.since(prog.started_at),
-                            mean_start_overhead_secs: prog.overhead_sum / expected.max(1) as f64,
-                            ledger: ledger.delta_since(&prog.ledger_mark),
-                            faults: fault_stats.delta_since(&prog.faults_mark),
-                        });
-                        if recording {
-                            obs::emit_observe(rec, at, &observation);
-                            obs::emit_sched_events(rec, at, scheduler);
-                            obs::emit_phase(
-                                rec,
-                                prog.started_at,
-                                // dd-lint: allow(hot-path-panic): the record was pushed unconditionally just above
-                                records.last().expect("phase record just pushed"),
-                            );
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.phase_ends.push(at);
-                        }
+                    if trigger_now {
+                        ctr.half_fired = true;
+                        books.trigger(tally, at, scratch);
+                    }
+                    if phase_done {
+                        books.finish_phase(tally, at);
                         end_time = at;
                         if phase + 1 < run.phases.len() {
                             queue.push(at, Event::PhaseStart { phase: phase + 1 });
@@ -687,84 +203,50 @@ impl DesFaasExecutor {
                 }
             }
         }
-
-        ledger.storage = pricing.storage_per_sec * end_time.as_secs();
-        if hints.colocated_read_fraction > 0.0 {
-            // Affinity co-location: same discount as the analytic path.
-            ledger.storage *= 1.0 - hints.colocated_read_fraction;
-        }
-        ledger.debug_validate();
-        if recording {
-            rec.set(obs::metrics::SERVICE_TIME_SECS, end_time.as_secs());
-        }
         crate::counters::add_des_events(events_popped);
-        crate::counters::add_component_starts(
-            records
-                .iter()
-                .map(|r| {
-                    u64::from(r.warm_starts) + u64::from(r.hot_starts) + u64::from(r.cold_starts)
-                })
-                .sum(),
-        );
-        RunReport {
-            outcome: RunOutcome {
-                // dd-lint: allow(hot-path-alloc): one String per completed run, outside the event loop
-                scheduler: scheduler.name().to_string(),
-                service_time_secs: end_time.as_secs(),
-                ledger,
-                phases: records,
-                utilization,
-                faults: fault_stats,
-            },
-            trace,
-        }
+        books.close(end_time)
     }
 }
 
 impl Executor for DesFaasExecutor {
     fn run(&mut self, req: RunRequest<'_>) -> RunReport {
-        self.serve_with(&mut DesSession::new(), req)
+        self.run_with(&mut DesSession::new(), req)
     }
-}
-
-/// Materializes a pool request into a reused arena (identical arithmetic
-/// to the analytic executor's `spawn_pool`). The caller clears `out`
-/// before the call; filling in place keeps the per-phase pool allocation
-/// out of the event loop after the first few phases.
-fn spawn_into(
-    out: &mut Vec<PooledInstance>,
-    startup: &crate::startup::StartupModel,
-    mut request: PoolRequest,
-    requested_at: SimTime,
-    runtimes: &[LanguageRuntime],
-    next_id: &mut u64,
-    cap: usize,
-) {
-    request.entries.truncate(cap);
-    out.extend(request.entries.iter().map(|entry| {
-        let prepare = match entry.preload {
-            None => startup.hot_prepare_secs(runtimes),
-            Some(_) => startup.warm_prepare_secs(runtimes),
-        };
-        let id = InstanceId(*next_id);
-        *next_id += 1;
-        PooledInstance {
-            id,
-            tier: entry.tier,
-            preload: entry.preload,
-            requested_at,
-            ready_at: requested_at.after(prepare),
-        }
-    }));
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
 mod tests {
     use super::*;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
+    use crate::faas::FaasExecutor;
+    use crate::pool::{InstanceView, PoolRequest};
+    use crate::sched::{PhaseObservation, Placement, RunInfo, ServerlessScheduler};
+    use crate::tier::Tier;
+    use dd_wfdag::{LanguageRuntime, Phase, RunGenerator, Workflow, WorkflowRun, WorkflowSpec};
+
+    /// Cold starts every component on a high-end instance.
+    pub(super) struct AllCold;
+    impl ServerlessScheduler for AllCold {
+        fn name(&self) -> &'static str {
+            "all-cold"
+        }
+        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
+            PoolRequest::none()
+        }
+        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
+            PoolRequest::none()
+        }
+        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
+            phase
+                .components
+                .iter()
+                .map(|_| Placement {
+                    tier: Tier::HighEnd,
+                    instance: None,
+                })
+                .collect()
+        }
+    }
 
     /// A deterministic scheduler exercising hot pools: requests the
     /// previous phase's concurrency, places greedily.
@@ -813,42 +295,6 @@ mod tests {
         (RunGenerator::new(spec, 17).generate(0), runtimes)
     }
 
-    fn assert_outcomes_equal(a: &RunOutcome, b: &RunOutcome) {
-        assert_eq!(a.phases.len(), b.phases.len());
-        for (pa, pb) in a.phases.iter().zip(&b.phases) {
-            assert_eq!(pa.index, pb.index);
-            assert_eq!(pa.concurrency, pb.concurrency);
-            assert_eq!(pa.pool_size, pb.pool_size);
-            assert_eq!(
-                (pa.warm_starts, pa.hot_starts, pa.cold_starts),
-                (pb.warm_starts, pb.hot_starts, pb.cold_starts),
-                "phase {}",
-                pa.index
-            );
-            assert!(
-                (pa.exec_secs - pb.exec_secs).abs() < 1e-9,
-                "phase {} exec {} vs {}",
-                pa.index,
-                pa.exec_secs,
-                pb.exec_secs
-            );
-        }
-        assert!(
-            (a.service_time_secs - b.service_time_secs).abs() < 1e-9,
-            "service time {} vs {}",
-            a.service_time_secs,
-            b.service_time_secs
-        );
-        for (x, y) in [
-            (a.ledger.execution, b.ledger.execution),
-            (a.ledger.keep_alive_used, b.ledger.keep_alive_used),
-            (a.ledger.keep_alive_wasted, b.ledger.keep_alive_wasted),
-            (a.ledger.storage, b.ledger.storage),
-        ] {
-            assert!((x - y).abs() < 1e-9, "ledger {x} vs {y}");
-        }
-    }
-
     #[test]
     fn des_and_analytic_agree_exactly() {
         let (run, runtimes) = sample();
@@ -858,7 +304,7 @@ mod tests {
         let des = DesFaasExecutor::aws()
             .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
             .into_outcome();
-        assert_outcomes_equal(&analytic, &des);
+        assert_eq!(analytic, des);
     }
 
     #[test]
@@ -874,7 +320,7 @@ mod tests {
         let des = DesFaasExecutor::new(config)
             .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
             .into_outcome();
-        assert_outcomes_equal(&analytic, &des);
+        assert_eq!(analytic, des);
     }
 
     #[test]
@@ -897,7 +343,7 @@ mod tests {
             let fresh = executor
                 .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
                 .into_outcome();
-            assert_outcomes_equal(&reused, &fresh);
+            assert_eq!(reused, fresh);
         }
     }
 
@@ -911,38 +357,36 @@ mod tests {
         assert_eq!(out.service_time_secs, 0.0);
         assert!(out.phases.is_empty());
     }
+
+    /// A run whose phase 1 lost its components (`WorkflowRun.phases` is
+    /// a public field, so validation can be bypassed).
+    fn run_with_empty_phase() -> (WorkflowRun, Vec<LanguageRuntime>) {
+        let (mut run, runtimes) = sample();
+        run.phases[1].components.clear();
+        (run, runtimes)
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 1 has no components")]
+    fn analytic_rejects_empty_phase() {
+        let (run, runtimes) = run_with_empty_phase();
+        let _ = FaasExecutor::aws().run(RunRequest::new(&run, &runtimes, &mut AllCold));
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 1 has no components")]
+    fn des_rejects_empty_phase() {
+        let (run, runtimes) = run_with_empty_phase();
+        let _ = DesFaasExecutor::aws().run(RunRequest::new(&run, &runtimes, &mut AllCold));
+    }
 }
 
 #[cfg(test)]
 mod limit_tests {
+    use super::tests::AllCold;
     use super::*;
     use crate::faas::FaasExecutor;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    struct AllCold;
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
-        }
-    }
+    use dd_wfdag::{RunGenerator, Workflow, WorkflowSpec};
 
     #[test]
     fn invocation_limit_binds_and_both_executors_agree() {
@@ -971,47 +415,17 @@ mod limit_tests {
         let des = DesFaasExecutor::new(config)
             .run(RunRequest::new(&run, &runtimes, &mut AllCold))
             .into_outcome();
-        assert!(
-            (des.service_time_secs - constrained.service_time_secs).abs() < 1e-9,
-            "des {:.3} vs analytic {:.3}",
-            des.service_time_secs,
-            constrained.service_time_secs
-        );
-        assert!((des.service_cost() - constrained.service_cost()).abs() < 1e-9);
+        assert_eq!(des, constrained);
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
 mod straggler_tests {
+    use super::tests::AllCold;
     use super::*;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use crate::startup::StartupModel;
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    struct AllCold;
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
-        }
-    }
+    use crate::faas::FaasExecutor;
+    use dd_wfdag::{RunGenerator, Workflow, WorkflowSpec};
 
     #[test]
     fn stragglers_inflate_service_time_deterministically() {
@@ -1049,12 +463,7 @@ mod straggler_tests {
             .with_startup(faulty_model)
             .run(RunRequest::new(&run, &runtimes, &mut AllCold))
             .into_outcome();
-        assert!(
-            (des.service_time_secs - faulty.service_time_secs).abs() < 1e-9,
-            "des {:.3} vs analytic {:.3}",
-            des.service_time_secs,
-            faulty.service_time_secs
-        );
+        assert_eq!(des, faulty);
     }
 
     #[test]
@@ -1104,12 +513,7 @@ mod straggler_tests {
                 .with_startup(faulty_model)
                 .run(RunRequest::new(run, &runtimes, &mut AllCold))
                 .into_outcome();
-            assert!(
-                (des.service_time_secs - analytic.service_time_secs).abs() < 1e-9,
-                "des {:.3} vs analytic {:.3}",
-                des.service_time_secs,
-                analytic.service_time_secs
-            );
+            assert_eq!(&des, analytic);
         }
     }
 
@@ -1140,34 +544,11 @@ mod straggler_tests {
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
 mod fault_tests {
+    use super::tests::AllCold;
     use super::*;
+    use crate::faas::FaasExecutor;
     use crate::faults::{FaultConfig, RecoveryPolicy};
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    struct AllCold;
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
-        }
-    }
+    use dd_wfdag::{RunGenerator, Workflow, WorkflowSpec};
 
     #[test]
     fn executors_agree_on_faulty_runs_under_every_policy() {
@@ -1196,20 +577,7 @@ mod fault_tests {
             let des = DesFaasExecutor::new(config)
                 .run(RunRequest::new(&run, &runtimes, &mut AllCold))
                 .into_outcome();
-            assert!(
-                (analytic.service_time_secs - des.service_time_secs).abs() < 1e-9,
-                "{policy:?}: analytic {:.4}s vs des {:.4}s",
-                analytic.service_time_secs,
-                des.service_time_secs
-            );
-            for (x, y) in [
-                (analytic.ledger.execution, des.ledger.execution),
-                (analytic.ledger.retry, des.ledger.retry),
-                (analytic.ledger.storage, des.ledger.storage),
-            ] {
-                assert!((x - y).abs() < 1e-9, "{policy:?}: ledger {x} vs {y}");
-            }
-            assert_eq!(analytic.faults, des.faults, "{policy:?} counters");
+            assert_eq!(analytic, des, "{policy:?}");
             // Faults actually fired, retry cost is a real non-negative
             // component, and conservation holds with it included.
             assert!(analytic.faults.failures() > 0, "{policy:?}");

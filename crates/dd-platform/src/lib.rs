@@ -46,6 +46,7 @@
 #[macro_use]
 pub mod invariant;
 
+mod books;
 pub mod cluster;
 pub mod contention;
 pub mod counters;

@@ -315,32 +315,17 @@ fn traced_and_untraced_outcomes_agree() {
 
 #[test]
 fn des_executor_agrees_with_analytic_for_real_schedulers() {
-    // The event-driven executor re-implements the platform semantics on
-    // the DES core; any divergence from the analytic executor means one
-    // of the two models is wrong. Checked here with the real schedulers
+    // The event-driven executor advances time on the DES core; any
+    // divergence from the analytic executor means one of the two
+    // time-advance models is wrong. Checked here with the real schedulers
     // (DayDream consumes RNG, so agreement also proves the callback
-    // order is identical).
+    // order is identical) — whole outcomes, bit for bit.
     use daydream::platform::DesFaasExecutor;
     let (gen, runtimes) = setup(Workflow::ExaFel, 12);
     let run = gen.generate(0);
     let history = history_for(&gen);
 
-    let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
-    let check = |a: &RunOutcome, b: &RunOutcome, name: &str| {
-        assert!(
-            close(a.service_time_secs, b.service_time_secs),
-            "{name}: time {} vs {}",
-            a.service_time_secs,
-            b.service_time_secs
-        );
-        assert!(
-            close(a.service_cost(), b.service_cost()),
-            "{name}: cost {} vs {}",
-            a.service_cost(),
-            b.service_cost()
-        );
-        assert_eq!(a.start_counts(), b.start_counts(), "{name}: start counts");
-    };
+    let check = |a: &RunOutcome, b: &RunOutcome, name: &str| assert_eq!(a, b, "{name}");
 
     let analytic = FaasExecutor::aws()
         .run(RunRequest::new(
