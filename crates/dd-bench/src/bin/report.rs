@@ -19,17 +19,47 @@ use dd_bench::experiments as exp;
 use dd_bench::figures::{self, FIGURES};
 use dd_bench::{EvaluationMatrix, ExperimentContext, SchedulerKind};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// One parsed `report` invocation.
+struct Invocation {
+    ctx: ExperimentContext,
+    selected: Vec<String>,
+    include_ablations: bool,
+    csv_dir: Option<std::path::PathBuf>,
+}
+
+fn usage() -> String {
+    format!(
+        "usage: report [--quick] [--runs N] [--seed N] [--scale N] [--jobs N] [--csv DIR] [figures...]\n\
+         figures: {} {} ablations all",
+        FIGURES.join(" "),
+        figures::STANDALONE.join(" ")
+    )
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a number, got '{value}'"))
+}
+
+/// Parses the arguments; `Ok(None)` means `--help`. Every name is checked
+/// before any work starts, so a typo fails fast instead of being skipped.
+fn parse(args: &[String]) -> Result<Option<Invocation>, String> {
     let mut ctx = ExperimentContext::default();
     let mut selected: Vec<String> = Vec::new();
     let mut include_ablations = false;
     let mut explicit_selection = false;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
+    let mut csv_dir = None;
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        let mut value = || {
+            i += 1;
+            args.get(i)
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag {
             "--quick" => {
                 ctx = ExperimentContext {
                     seed: ctx.seed,
@@ -38,36 +68,16 @@ fn main() {
                 };
             }
             "--runs" => {
-                i += 1;
-                ctx.runs_per_workflow = args[i].parse().expect("--runs takes a number");
+                ctx.runs_per_workflow = number(flag, value()?)?;
+                if ctx.runs_per_workflow == 0 {
+                    return Err("--runs must be at least 1".to_string());
+                }
             }
-            "--seed" => {
-                i += 1;
-                ctx.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--scale" => {
-                i += 1;
-                ctx.scale_down = args[i].parse().expect("--scale takes a number");
-            }
-            "--jobs" => {
-                i += 1;
-                ctx.jobs = args[i]
-                    .parse::<usize>()
-                    .expect("--jobs takes a number")
-                    .max(1);
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(std::path::PathBuf::from(&args[i]));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: report [--quick] [--runs N] [--seed N] [--scale N] [--jobs N] [--csv DIR] [figures...]\n\
-                     figures: {} ablations all",
-                    FIGURES.join(" ")
-                );
-                return;
-            }
+            "--seed" => ctx.seed = number(flag, value()?)?,
+            "--scale" => ctx.scale_down = number(flag, value()?)?,
+            "--jobs" => ctx.jobs = number::<usize>(flag, value()?)?.max(1),
+            "--csv" => csv_dir = Some(std::path::PathBuf::from(value()?)),
+            "--help" | "-h" => return Ok(None),
             "ablations" => {
                 include_ablations = true;
                 explicit_selection = true;
@@ -77,10 +87,12 @@ fn main() {
                 include_ablations = true;
                 explicit_selection = true;
             }
-            name => {
+            name if figures::is_known(name) => {
                 selected.push(name.to_string());
                 explicit_selection = true;
             }
+            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
+            other => return Err(format!("unknown figure '{other}'")),
         }
         i += 1;
     }
@@ -88,6 +100,32 @@ fn main() {
         selected = FIGURES.iter().map(|s| s.to_string()).collect();
         include_ablations = true;
     }
+    Ok(Some(Invocation {
+        ctx,
+        selected,
+        include_ablations,
+        csv_dir,
+    }))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Invocation {
+        ctx,
+        selected,
+        include_ablations,
+        csv_dir,
+    } = match parse(&args) {
+        Ok(Some(invocation)) => invocation,
+        Ok(None) => {
+            eprintln!("{}", usage());
+            return;
+        }
+        Err(e) => {
+            eprintln!("report: {e}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
 
     println!(
         "DayDream reproduction report — seed {}, {} runs/workflow, phase scale 1/{}",
@@ -107,10 +145,9 @@ fn main() {
     });
 
     for figure in &selected {
-        match figures::render(figure.as_str(), &ctx, matrix.as_ref()) {
-            Some(out) => println!("{out}"),
-            None => eprintln!("unknown figure '{}' (see --help)", figure),
-        }
+        let out = figures::render(figure.as_str(), &ctx, matrix.as_ref())
+            .expect("figure names are checked while parsing");
+        println!("{out}");
     }
     if include_ablations {
         println!("{}", exp::ablations::run(&ctx));

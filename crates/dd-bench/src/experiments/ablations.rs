@@ -10,10 +10,10 @@
 //!    arrive late.
 
 use crate::report::{pct_change, section, Table};
-use crate::workloads::{execute_policy_seeded, mean, ExperimentContext};
+use crate::workloads::{execute_policy_faulted, mean, ExperimentContext};
 use daydream_core::{DayDreamConfig, DayDreamScheduler};
 use dd_baselines::HybridPolicy;
-use dd_platform::{Executor, RunRequest};
+use dd_platform::{Executor, FaultConfig, RecoveryPolicy, RunRequest};
 use dd_platform::{FaasConfig, FaasExecutor, PoolTrigger};
 use dd_stats::SeedStream;
 use dd_wfdag::Workflow;
@@ -165,7 +165,9 @@ pub fn run(ctx: &ExperimentContext) -> String {
                 .derive("ablation-hybrid")
                 .derive_index(idx as u64);
             let hybrid = HybridPolicy::with_history(history.clone());
-            let outcome = execute_policy_seeded(ctx, &run, runtimes, &hybrid, seeds);
+            let (faults, recovery) = (FaultConfig::none(), RecoveryPolicy::backoff());
+            let outcome =
+                execute_policy_faulted(ctx, &run, runtimes, &hybrid, seeds, faults, recovery);
             (outcome.service_time_secs, outcome.service_cost())
         });
         let (t, c) = (

@@ -8,10 +8,10 @@
 //! cost explosion stops — and DayDream sitting at the knee.
 
 use crate::report::{pct_change, section, Table};
-use crate::workloads::{execute_policy_seeded, mean, ExperimentContext};
+use crate::workloads::{execute_policy_faulted, mean, ExperimentContext};
 use daydream_core::DayDreamPolicy;
 use dd_baselines::FixedPoolPolicy;
-use dd_platform::{RunOutcome, SchedulerPolicy};
+use dd_platform::{FaultConfig, RecoveryPolicy, RunOutcome, SchedulerPolicy};
 use dd_stats::SeedStream;
 use dd_wfdag::{Workflow, WorkflowRun};
 
@@ -28,7 +28,8 @@ fn evaluate(
             let seeds = SeedStream::new(ctx.seed)
                 .derive("fixedpool")
                 .derive_index(i as u64);
-            execute_policy_seeded(ctx, run, runtimes, policy, seeds)
+            let (faults, recovery) = (FaultConfig::none(), RecoveryPolicy::backoff());
+            execute_policy_faulted(ctx, run, runtimes, policy, seeds, faults, recovery)
         })
         .collect();
     (

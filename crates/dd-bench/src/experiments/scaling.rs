@@ -8,9 +8,10 @@
 //! Wild mispairing or a Pegasus cold start to sit on the critical path.
 
 use crate::report::{pct_change, section, Table};
-use crate::workloads::{execute_policy_seeded, mean, ExperimentContext};
+use crate::workloads::{execute_policy_faulted, mean, ExperimentContext};
 use daydream_core::{DayDreamHistory, DayDreamPolicy};
 use dd_baselines::{PegasusPolicy, WildPolicy};
+use dd_platform::{FaultConfig, RecoveryPolicy, SchedulerPolicy};
 use dd_stats::SeedStream;
 use dd_wfdag::{RunGenerator, WorkflowSpec};
 
@@ -51,9 +52,13 @@ pub fn run(ctx: &ExperimentContext) -> String {
             .derive("scaling")
             .derive_index(idx as u64);
         let daydream = DayDreamPolicy::with_history(history.clone());
-        let dd = execute_policy_seeded(ctx, &run, runtimes, &daydream, seeds);
-        let wi = execute_policy_seeded(ctx, &run, runtimes, &WildPolicy, seeds);
-        let pe = execute_policy_seeded(ctx, &run, runtimes, &PegasusPolicy, seeds);
+        let clean = |policy: &dyn SchedulerPolicy| {
+            let (faults, recovery) = (FaultConfig::none(), RecoveryPolicy::backoff());
+            execute_policy_faulted(ctx, &run, runtimes, policy, seeds, faults, recovery)
+        };
+        let dd = clean(&daydream);
+        let wi = clean(&WildPolicy);
+        let pe = clean(&PegasusPolicy);
         [
             [dd.service_time_secs, dd.service_cost()],
             [wi.service_time_secs, wi.service_cost()],

@@ -1,9 +1,9 @@
 //! Figure registry and dispatch shared by the `report` binary, the
-//! `dd-bench bench` macro-benchmark harness, and the perf-equivalence
-//! test suite.
+//! repository benchmark (`perfbench/`), and the perf-equivalence test
+//! suite.
 //!
 //! Rendering lives here (not in the binary) so that in-process consumers
-//! — the bench harness timing a full report, the equivalence tests
+//! — the benchmark timing a full report, the equivalence tests
 //! byte-comparing two executor paths — produce exactly the bytes the CLI
 //! prints, without shelling out.
 
@@ -42,6 +42,16 @@ pub const FIGURES: [&str; 29] = [
     "robustness",
     "obs",
 ];
+
+/// Figures outside the full report that render on request only
+/// (`report traffic`, `report zoo`): the full-report byte stream is pinned
+/// by the perf-equivalence hashes.
+pub const STANDALONE: [&str; 2] = ["traffic", "zoo"];
+
+/// Whether [`render`] knows `name`.
+pub fn is_known(name: &str) -> bool {
+    FIGURES.contains(&name) || STANDALONE.contains(&name)
+}
 
 /// Whether a figure renders from the shared evaluation matrix (Figs.
 /// 11–17) rather than computing its own sweep.
@@ -89,9 +99,7 @@ pub fn render(
         "scaling" => exp::scaling::run(ctx),
         "robustness" => exp::robustness::run(ctx),
         "obs" => exp::obs::run(ctx),
-        // Standalone (not in FIGURES: the full-report byte stream is
-        // pinned by the perf-equivalence hashes, so these render on
-        // request only: `report traffic`, `report zoo`).
+        // STANDALONE figures.
         "traffic" => exp::traffic::run(ctx),
         "zoo" => exp::zoo::run(ctx),
         _ => return None,
@@ -104,7 +112,7 @@ pub fn render(
 /// that selection: header line, each figure's output, each terminated by
 /// a newline.
 ///
-/// Unknown names are skipped, matching the CLI (which warns on stderr).
+/// Unknown names are skipped; the CLI rejects them before calling this.
 pub fn render_report(
     ctx: &ExperimentContext,
     selected: &[&str],
@@ -149,10 +157,12 @@ mod tests {
             ..ExperimentContext::default()
         };
         let matrix = EvaluationMatrix::compute_for(&ctx, &SchedulerKind::PAPER);
-        for name in FIGURES {
+        for name in FIGURES.into_iter().chain(STANDALONE) {
+            assert!(is_known(name));
             let out = render(name, &ctx, Some(&matrix)).expect("known figure");
             assert!(!out.is_empty(), "{name} rendered empty");
         }
         assert!(render("no-such-figure", &ctx, None).is_none());
+        assert!(!is_known("no-such-figure"));
     }
 }

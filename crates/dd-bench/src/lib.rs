@@ -14,7 +14,6 @@
 //! harness runs on the `dd-platform` simulator, so EXPERIMENTS.md records
 //! shape (who wins, by what factor) rather than absolute equality.
 
-pub mod bench;
 pub mod csv;
 pub mod experiments;
 pub mod figures;

@@ -10,8 +10,9 @@
 
 use daydream_core::{DayDreamHistory, DayDreamPolicy};
 use dd_baselines::{NaivePolicy, OraclePolicy, PegasusPolicy, WildPolicy};
-use dd_platform::{BuiltScheduler, CloudVendor, FaasConfig, FaasExecutor, RunOutcome};
-use dd_platform::{Executor, PolicyContext, RunRequest, SchedulerPolicy};
+use dd_platform::SchedulerPolicy;
+use dd_platform::{BuiltScheduler, CloudVendor, FaasConfig, FaasExecutor, FaultConfig};
+use dd_platform::{Executor, PolicyContext, RecoveryPolicy, RunOutcome, RunRequest};
 use dd_stats::SeedStream;
 use dd_wfdag::{RunGenerator, Workflow, WorkflowRun, WorkflowSpec};
 
@@ -166,52 +167,33 @@ pub fn execute_policy(
     let seeds = SeedStream::new(ctx.seed)
         .derive("scheduler")
         .derive_index(run.label.run_index as u64);
-    execute_policy_seeded(ctx, run, runtimes, policy, seeds)
-}
-
-/// [`execute_policy`] with a caller-chosen seed stream — experiments
-/// that predate the registry each pinned their own derivation label and
-/// must keep it for byte-stable reports.
-pub fn execute_policy_seeded(
-    ctx: &ExperimentContext,
-    run: &WorkflowRun,
-    runtimes: &[dd_wfdag::LanguageRuntime],
-    policy: &dyn SchedulerPolicy,
-    seeds: SeedStream,
-) -> RunOutcome {
-    let pctx = PolicyContext {
+    execute_policy_faulted(
+        ctx,
         run,
         runtimes,
-        vendor: ctx.vendor,
+        policy,
         seeds,
-    };
-    match policy.build(&pctx) {
-        BuiltScheduler::Serverless(mut s) => {
-            let mut executor = FaasExecutor::new(FaasConfig {
-                vendor: ctx.vendor,
-                ..FaasConfig::default()
-            });
-            executor
-                .run(RunRequest::new(run, runtimes, s.as_mut()))
-                .into_outcome()
-        }
-        BuiltScheduler::Cluster(cluster) => cluster.execute(run, runtimes, ctx.vendor),
-    }
+        FaultConfig::none(),
+        RecoveryPolicy::backoff(),
+    )
 }
 
 /// Executes one run under a prepared policy with fault injection: the
 /// serverless path runs on a faulted FaaS executor, the cluster path
 /// goes through [`dd_platform::ClusterPolicy::execute_faulted`]'s
-/// phase-stretch adapter. `seeds` feeds the policy's per-run scheduler
-/// (callers pick the derivation so existing streams stay byte-stable).
+/// phase-stretch adapter. `seeds` feeds the policy's per-run scheduler:
+/// experiments that predate the registry each pinned their own
+/// derivation label and must keep it for byte-stable reports. With
+/// `FaultConfig::none()` and `RecoveryPolicy::backoff()` (the
+/// `FaasConfig` defaults) this is a clean run.
 pub fn execute_policy_faulted(
     ctx: &ExperimentContext,
     run: &WorkflowRun,
     runtimes: &[dd_wfdag::LanguageRuntime],
     policy: &dyn SchedulerPolicy,
     seeds: SeedStream,
-    faults: dd_platform::FaultConfig,
-    recovery: dd_platform::RecoveryPolicy,
+    faults: FaultConfig,
+    recovery: RecoveryPolicy,
 ) -> RunOutcome {
     let pctx = PolicyContext {
         run,

@@ -208,7 +208,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--runs" => {
                 runs = value()?
                     .parse()
-                    .map_err(|_| "--runs takes a number".to_string())?
+                    .map_err(|_| "--runs takes a number".to_string())?;
+                if runs == 0 {
+                    return Err("--runs must be at least 1".to_string());
+                }
             }
             // --scheduler remains as a back-compat alias for --policy.
             "--policy" | "--scheduler" => match parse_policy(value()?)? {
@@ -422,6 +425,19 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
+        // `--runs 0` would write nothing and still report success.
+        assert_eq!(
+            parse_args(&strs(&[
+                "run",
+                "--workflow",
+                "ccl",
+                "--runs",
+                "0",
+                "--out",
+                "/tmp/x",
+            ])),
+            Err("--runs must be at least 1".to_string())
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Process-wide simulation throughput counters.
 //!
-//! The macro-benchmark harness (`dd-bench bench`) reports simulated
-//! component-starts/sec and DES events/sec. Both executors accumulate
+//! The repository benchmark (`perfbench/`) reads them to report simulated
+//! component starts and DES events per second. Both executors accumulate
 //! into per-run local integers and flush here **once per run**, so the
 //! hot loops never touch an atomic; the flush itself is a single relaxed
 //! `fetch_add`. The counters are observability only — they never feed

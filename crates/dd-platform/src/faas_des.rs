@@ -552,7 +552,7 @@ mod fault_tests {
 
     #[test]
     fn executors_agree_on_faulty_runs_under_every_policy() {
-        // The acceptance criterion of the fault engine: with every fault
+        // The acceptance check of the fault engine: with every fault
         // channel live, the analytic and event-driven executors resolve
         // the same timelines — same service time, same ledger including
         // the retry component — because both query one FaultPlan.

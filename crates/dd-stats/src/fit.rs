@@ -238,8 +238,8 @@ fn approx_chi2_exceeds(
 
 /// The original dense-scan grid fit, kept as the equivalence oracle for
 /// the branch-and-bound rewrite ([`fit_weibull_grid`] must agree with it
-/// bit for bit). Used by property tests and the criterion fit-kernel
-/// guard; not called on any production path.
+/// bit for bit). Used by the equivalence test; not called on any
+/// production path.
 pub fn fit_weibull_grid_reference(
     hist: &Histogram,
     alpha_range: (f64, f64),
