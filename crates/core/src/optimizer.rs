@@ -13,15 +13,17 @@
 //! where `S_t` is the phase's makespan (max over components) and `S_e` the
 //! phase's cost. The solver seeds with Algorithm 1's greedy policy
 //! (friendly → high-end hot, others → low-end hot, overflow → cold on
-//! high-end) and then hill-climbs single-component moves (re-tier a cold
-//! start, claim an unused hot instance, swap two instances); the reference
-//! values normalizing the objective are the greedy solution's own, so the
-//! optimizer can only improve on Algorithm 1.
+//! high-end) and then hill-climbs single-component moves (move one
+//! component to a high-end cold start or to an unused hot instance); the
+//! reference values normalizing the objective are the greedy solution's
+//! own, so the optimizer can only improve on Algorithm 1.
 
+use dd_platform::pool::InstanceId;
 use dd_platform::pricing::PriceSheet;
 use dd_platform::{InstanceView, Placement, SimTime, StartupModel, Tier};
 use dd_wfdag::{ComponentInstance, LanguageRuntime, Phase};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Weights of the joint objective (paper default: equal).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,6 +61,41 @@ pub struct PlacementOptimizer {
     friendly_threshold: f64,
     /// Above this phase size, hill climbing is skipped (greedy only).
     max_components_for_search: usize,
+    /// Buffers reused across [`place`](Self::place) calls.
+    scratch: Scratch,
+}
+
+/// Working buffers of one [`PlacementOptimizer::place`] call. Every call
+/// clears and refills each one before reading it, so they carry only
+/// capacity from one phase to the next, never values.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The assignment being built: greedy's output, refined in place.
+    assigns: Vec<Assign>,
+    /// Preload-free slots per tier as (ready_at, id, slot), sorted.
+    he_slots: Vec<(SimTime, InstanceId, usize)>,
+    le_slots: Vec<(SimTime, InstanceId, usize)>,
+    /// Components as (descending exec-time key, index), sorted.
+    friendly: Vec<(Reverse<i64>, usize)>,
+    modest: Vec<(Reverse<i64>, usize)>,
+    /// Slot → class index, and each class's (tier, ready_at) key.
+    class_of: Vec<usize>,
+    classes: Vec<(Tier, SimTime)>,
+    /// (time, cost) per component × class, and per component cold.
+    hot_tc: Vec<(f64, f64)>,
+    cold_tc: Vec<(f64, f64)>,
+    times: Vec<f64>,
+    costs: Vec<f64>,
+    used: Vec<bool>,
+    seen_class: Vec<bool>,
+    cand_slots: Vec<usize>,
+}
+
+/// Integer key ordered exactly as [`f64::total_cmp`] orders its argument
+/// (the same bit transform the standard library applies).
+fn total_cmp_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 impl PlacementOptimizer {
@@ -76,23 +113,26 @@ impl PlacementOptimizer {
             weights,
             friendly_threshold,
             max_components_for_search,
+            scratch: Scratch::default(),
         }
     }
 
     /// Computes placements for a phase: greedy Algorithm-1 policy plus
     /// local-search refinement of (γ, δ).
     pub fn place(
-        &self,
+        &mut self,
         phase: &Phase,
         available: &[InstanceView],
         now: SimTime,
         runtimes: &[LanguageRuntime],
     ) -> Vec<Placement> {
-        let mut assigns = self.greedy(phase, available, now);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.greedy(phase, available, &mut scratch);
         if phase.components.len() <= self.max_components_for_search {
-            self.refine(phase, available, now, runtimes, &mut assigns);
+            self.refine(phase, available, now, runtimes, &mut scratch);
         }
-        assigns
+        let placements = scratch
+            .assigns
             .iter()
             .map(|a| match *a {
                 Assign::Hot(slot) => Placement {
@@ -104,7 +144,9 @@ impl PlacementOptimizer {
                     instance: None,
                 },
             })
-            .collect()
+            .collect();
+        self.scratch = scratch;
+        placements
     }
 
     /// Algorithm 1's placement: high-end-friendly components onto
@@ -112,71 +154,61 @@ impl PlacementOptimizer {
     /// to any remaining hot instance; the rest cold start on high-end
     /// ("DayDream executes these components on high-end function instances
     /// after loading …").
-    fn greedy(&self, phase: &Phase, available: &[InstanceView], _now: SimTime) -> Vec<Assign> {
-        let n = phase.components.len();
-        let mut assigns = vec![Assign::Cold(Tier::HighEnd); n];
+    ///
+    /// Leaves the assignment in `s.assigns`. Slots are taken earliest
+    /// ready first (ties by instance id, then slot), components longest
+    /// first (ties by index): each list is sorted once on integer keys
+    /// whose final tie-break is the position, so the unstable sort yields
+    /// exactly the order a stable sort on the same comparison would.
+    fn greedy(&self, phase: &Phase, available: &[InstanceView], s: &mut Scratch) {
+        s.assigns.clear();
+        s.assigns
+            .resize(phase.components.len(), Assign::Cold(Tier::HighEnd));
 
-        // Sort instance slots per tier by readiness (earliest first) so
-        // waits are minimized; only hot (preload-free) instances are ours.
-        let mut he_slots: Vec<usize> = (0..available.len())
-            .filter(|&s| available[s].preload.is_none() && available[s].tier == Tier::HighEnd)
-            .collect();
-        let mut le_slots: Vec<usize> = (0..available.len())
-            .filter(|&s| available[s].preload.is_none() && available[s].tier == Tier::LowEnd)
-            .collect();
-        let by_ready = |slots: &mut Vec<usize>| {
-            slots.sort_by(|&a, &b| {
-                available[a]
-                    .ready_at
-                    .cmp(&available[b].ready_at)
-                    .then(available[a].id.cmp(&available[b].id))
-            });
-        };
-        by_ready(&mut he_slots);
-        by_ready(&mut le_slots);
-        // Consume from the back (so pop() yields the earliest-ready).
-        he_slots.reverse();
-        le_slots.reverse();
+        // Earliest-ready slots first, so waits are minimized; only hot
+        // (preload-free) instances are ours.
+        s.he_slots.clear();
+        s.le_slots.clear();
+        for (slot, inst) in available.iter().enumerate() {
+            if inst.preload.is_some() {
+                continue;
+            }
+            let key = (inst.ready_at, inst.id, slot);
+            match inst.tier {
+                Tier::HighEnd => s.he_slots.push(key),
+                Tier::LowEnd => s.le_slots.push(key),
+            }
+        }
+        s.he_slots.sort_unstable();
+        s.le_slots.sort_unstable();
 
         // Longest-running friendly components claim high-end first.
-        let mut friendly: Vec<usize> = (0..n)
-            .filter(|&i| phase.components[i].is_high_end_friendly(self.friendly_threshold))
-            .collect();
-        friendly.sort_by(|&a, &b| {
-            phase.components[b]
-                .exec_he_secs
-                .total_cmp(&phase.components[a].exec_he_secs)
-        });
-        let mut modest: Vec<usize> = (0..n)
-            .filter(|&i| !phase.components[i].is_high_end_friendly(self.friendly_threshold))
-            .collect();
-        modest.sort_by(|&a, &b| {
-            phase.components[b]
-                .exec_le_secs
-                .total_cmp(&phase.components[a].exec_le_secs)
-        });
+        s.friendly.clear();
+        s.modest.clear();
+        for (i, c) in phase.components.iter().enumerate() {
+            if c.is_high_end_friendly(self.friendly_threshold) {
+                s.friendly.push((Reverse(total_cmp_key(c.exec_he_secs)), i));
+            } else {
+                s.modest.push((Reverse(total_cmp_key(c.exec_le_secs)), i));
+            }
+        }
+        s.friendly.sort_unstable();
+        s.modest.sort_unstable();
 
-        let mut overflow = Vec::new();
-        for i in friendly {
-            match he_slots.pop() {
-                Some(slot) => assigns[i] = Assign::Hot(slot),
-                None => overflow.push(i),
-            }
+        let on_he = s.friendly.len().min(s.he_slots.len());
+        let on_le = s.modest.len().min(s.le_slots.len());
+        let own_tier = s.friendly[..on_he]
+            .iter()
+            .zip(&s.he_slots)
+            .chain(s.modest[..on_le].iter().zip(&s.le_slots));
+        // Cross-tier fill: any hot instance beats a cold start. Friendly
+        // overflow goes first, then modest, onto the high-end leftovers
+        // and then the low-end ones; what is left stays Cold(HighEnd).
+        let overflow = s.friendly[on_he..].iter().chain(&s.modest[on_le..]);
+        let spare = s.he_slots[on_he..].iter().chain(&s.le_slots[on_le..]);
+        for (&(_, i), &(_, _, slot)) in own_tier.chain(overflow.zip(spare)) {
+            s.assigns[i] = Assign::Hot(slot);
         }
-        for i in modest {
-            match le_slots.pop() {
-                Some(slot) => assigns[i] = Assign::Hot(slot),
-                None => overflow.push(i),
-            }
-        }
-        // Cross-tier fill: any hot instance beats a cold start.
-        for i in overflow {
-            if let Some(slot) = he_slots.pop().or_else(|| le_slots.pop()) {
-                assigns[i] = Assign::Hot(slot);
-            }
-            // else: stays Cold(HighEnd).
-        }
-        assigns
     }
 
     /// Hill-climbs single-component moves against the joint objective.
@@ -198,18 +230,32 @@ impl PlacementOptimizer {
         available: &[InstanceView],
         now: SimTime,
         runtimes: &[LanguageRuntime],
-        assigns: &mut [Assign],
+        s: &mut Scratch,
     ) {
         let n = phase.components.len();
         if n == 0 {
             return;
         }
+        let Scratch {
+            assigns,
+            class_of,
+            classes,
+            hot_tc,
+            cold_tc,
+            times,
+            costs,
+            used,
+            seen_class,
+            cand_slots,
+            ..
+        } = s;
         // Group the preload-free (hot-startable) slots into equivalence
         // classes by (tier, ready_at). Preloaded slots are never assigned
         // by greedy nor candidates here, so they get no class.
         const NO_CLASS: usize = usize::MAX;
-        let mut class_of = vec![NO_CLASS; available.len()];
-        let mut classes: Vec<(Tier, SimTime)> = Vec::new();
+        class_of.clear();
+        class_of.resize(available.len(), NO_CLASS);
+        classes.clear();
         for (slot, inst) in available.iter().enumerate() {
             if inst.preload.is_some() {
                 continue;
@@ -230,32 +276,31 @@ impl PlacementOptimizer {
         // service-cost formulation only has a *high-end* cold branch
         // (γ·(1−δ)·e^HE): cold starts always run high-end, so the move
         // set is {any unused hot instance, Cold(HighEnd)}.
-        let mut hot_tc: Vec<(f64, f64)> = Vec::with_capacity(n * n_classes);
-        let cold_tc: Vec<(f64, f64)> = phase
-            .components
-            .iter()
-            .map(|c| {
-                for &(tier, ready_at) in &classes {
-                    hot_tc.push(self.hot_slot_cost(c, tier, ready_at, now));
-                }
-                self.component_cost(c, Assign::Cold(Tier::HighEnd), available, now, runtimes)
-            })
-            .collect();
+        let cold_base = self.cold_base_secs(runtimes);
+        hot_tc.clear();
+        cold_tc.clear();
+        for c in &phase.components {
+            for &(tier, ready_at) in classes.iter() {
+                hot_tc.push(self.hot_slot_cost(c, tier, ready_at, now));
+            }
+            cold_tc.push(self.cold_cost(c, Tier::HighEnd, cold_base));
+        }
         let tc_of = |i: usize, a: Assign| match a {
             Assign::Hot(slot) => hot_tc[i * n_classes + class_of[slot]],
             Assign::Cold(_) => cold_tc[i],
         };
 
-        let mut times = vec![0.0f64; n];
-        let mut costs = vec![0.0f64; n];
+        times.clear();
+        costs.clear();
+        used.clear();
+        used.resize(available.len(), false);
         let mut total_cost = 0.0;
-        let mut used = vec![false; available.len()];
-        for i in 0..n {
-            let (t, c) = tc_of(i, assigns[i]);
-            times[i] = t;
-            costs[i] = c;
+        for (i, &a) in assigns.iter().enumerate() {
+            let (t, c) = tc_of(i, a);
+            times.push(t);
+            costs.push(c);
             total_cost += c;
-            if let Assign::Hot(slot) = assigns[i] {
+            if let Assign::Hot(slot) = a {
                 used[slot] = true;
             }
         }
@@ -290,7 +335,7 @@ impl PlacementOptimizer {
             }
             (max1, cnt1, max2)
         };
-        let (mut max1, mut cnt1, mut max2) = top2(&times);
+        let (mut max1, mut cnt1, mut max2) = top2(times);
 
         // One candidate slot per class — the lowest-indexed unused
         // preload-free one — emitted in ascending slot order, i.e. the
@@ -301,13 +346,10 @@ impl PlacementOptimizer {
         // 1e-12 threshold sequence. The list depends only on `used` and
         // the class map — not on the component under consideration — so
         // it is rebuilt only after an accepted move changes `used`.
-        let mut seen_class = vec![false; n_classes];
-        let mut cand_slots: Vec<usize> = Vec::with_capacity(n_classes);
         let rebuild_cands =
-            |seen_class: &mut [bool], cand_slots: &mut Vec<usize>, used: &[bool]| {
-                for c in seen_class.iter_mut() {
-                    *c = false;
-                }
+            |seen_class: &mut Vec<bool>, cand_slots: &mut Vec<usize>, used: &[bool]| {
+                seen_class.clear();
+                seen_class.resize(n_classes, false);
                 cand_slots.clear();
                 for (slot, &class) in class_of.iter().enumerate() {
                     if class != NO_CLASS && !used[slot] && !seen_class[class] {
@@ -319,7 +361,7 @@ impl PlacementOptimizer {
                     }
                 }
             };
-        rebuild_cands(&mut seen_class, &mut cand_slots, &used);
+        rebuild_cands(seen_class, cand_slots, used);
         for _pass in 0..3 {
             let mut improved = false;
             for i in 0..n {
@@ -358,8 +400,8 @@ impl PlacementOptimizer {
                     costs[i] = c;
                     assigns[i] = cand;
                     improved = true;
-                    (max1, cnt1, max2) = top2(&times);
-                    rebuild_cands(&mut seen_class, &mut cand_slots, &used);
+                    (max1, cnt1, max2) = top2(times);
+                    rebuild_cands(seen_class, cand_slots, used);
                 }
             }
             if !improved {
@@ -436,21 +478,38 @@ impl PlacementOptimizer {
                     + self.startup.output_write_secs(component, inst.tier);
                 (wait + busy, self.pricing.cost(inst.tier, wait + busy))
             }
-            Assign::Cold(tier) => {
-                let busy = self.startup.cold_overhead_secs(component, tier, runtimes)
-                    + tier.exec_secs(component) * self.startup.exec_multiplier(true)
-                    + self.startup.output_write_secs(component, tier);
-                (busy, self.pricing.cost(tier, busy))
-            }
+            Assign::Cold(tier) => self.cold_cost(component, tier, self.cold_base_secs(runtimes)),
         }
+    }
+
+    /// The component-independent part of
+    /// [`StartupModel::cold_overhead_secs`]: boot and component load plus
+    /// the runtimes' load, summed once per phase instead of once per
+    /// component.
+    fn cold_base_secs(&self, runtimes: &[LanguageRuntime]) -> f64 {
+        let m = &self.startup;
+        m.vendor_multiplier * (m.microvm_boot_secs + m.component_load_secs)
+            + m.runtime_load_secs(runtimes)
+    }
+
+    /// (time, cost) of a cold start on `tier`, given
+    /// [`cold_base_secs`](Self::cold_base_secs). Adds the data fetch to
+    /// the base in `cold_overhead_secs`'s operand order, so the sum is
+    /// bit-identical to it.
+    fn cold_cost(&self, component: &ComponentInstance, tier: Tier, cold_base: f64) -> (f64, f64) {
+        let busy = cold_base
+            + self.startup.data_fetch_secs(component, tier)
+            + tier.exec_secs(component) * self.startup.exec_multiplier(true)
+            + self.startup.output_write_secs(component, tier);
+        (busy, self.pricing.cost(tier, busy))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_platform::pool::InstanceId;
     use dd_wfdag::ComponentTypeId;
+    use proptest::prelude::*;
 
     fn optimizer() -> PlacementOptimizer {
         PlacementOptimizer::new(
@@ -585,12 +644,12 @@ mod tests {
             hot(2, Tier::LowEnd),
         ];
         let now = SimTime::ZERO;
-        let greedy_assigns = opt.greedy(&phase, &pool, now);
-        let (gt, gc) = opt.evaluate(&phase, &pool, now, &RUNTIMES, &greedy_assigns);
+        let mut scratch = Scratch::default();
+        opt.greedy(&phase, &pool, &mut scratch);
+        let (gt, gc) = opt.evaluate(&phase, &pool, now, &RUNTIMES, &scratch.assigns);
 
-        let mut refined = greedy_assigns.clone();
-        opt.refine(&phase, &pool, now, &RUNTIMES, &mut refined);
-        let (rt, rc) = opt.evaluate(&phase, &pool, now, &RUNTIMES, &refined);
+        opt.refine(&phase, &pool, now, &RUNTIMES, &mut scratch);
+        let (rt, rc) = opt.evaluate(&phase, &pool, now, &RUNTIMES, &scratch.assigns);
 
         let greedy_obj = 1.0 + 1.0; // normalized against itself
         let refined_obj = rt / gt + rc / gc;
@@ -624,7 +683,7 @@ mod tests {
     #[test]
     fn large_phase_uses_greedy_only() {
         // Above the size cap the optimizer still returns valid placements.
-        let opt = PlacementOptimizer::new(
+        let mut opt = PlacementOptimizer::new(
             StartupModel::aws(),
             PriceSheet::aws(),
             ObjectiveWeights::default(),
@@ -642,5 +701,336 @@ mod tests {
             placements.iter().filter(|p| p.instance.is_some()).count(),
             20
         );
+    }
+
+    #[test]
+    fn hoisted_cold_cost_matches_startup_model() {
+        for vendor in [1.0, 1.3, 0.7] {
+            let mut opt = optimizer();
+            opt.startup = StartupModel::aws().with_vendor_multiplier(vendor);
+            for runtimes in [
+                &[][..],
+                &RUNTIMES[..],
+                &[LanguageRuntime::Julia, LanguageRuntime::Cpp],
+            ] {
+                for c in [comp(0, 4.0, 6.0), comp(1, 0.3, 0.31)] {
+                    let direct = opt.startup.cold_overhead_secs(&c, Tier::HighEnd, runtimes)
+                        + Tier::HighEnd.exec_secs(&c) * opt.startup.exec_multiplier(true)
+                        + opt.startup.output_write_secs(&c, Tier::HighEnd);
+                    let (hoisted, _) =
+                        opt.cold_cost(&c, Tier::HighEnd, opt.cold_base_secs(runtimes));
+                    assert_eq!(hoisted.to_bits(), direct.to_bits());
+                }
+            }
+        }
+    }
+
+    /// A phase whose exec times come from a few values, so the greedy
+    /// sorts meet ties (`(he index, slowdown index, type)` per component).
+    fn tied_phase(specs: &[(usize, usize, u32)]) -> Phase {
+        const HE: [f64; 3] = [1.0, 2.5, 4.0];
+        const SLOWDOWN: [f64; 4] = [0.0, 0.1, 0.25, 0.6];
+        Phase {
+            index: 0,
+            components: specs
+                .iter()
+                .map(|&(he, slow, ty)| comp(ty, HE[he], HE[he] * (1.0 + SLOWDOWN[slow])))
+                .collect(),
+        }
+    }
+
+    /// A pool mixing tiers, preloaded slots, repeated ready times and
+    /// repeated ids (`(high-end, preload kind, ready index, id)` per slot).
+    fn mixed_pool(specs: &[(bool, u32, usize, u64)]) -> Vec<InstanceView> {
+        const READY: [f64; 4] = [0.0, 0.5, 2.0, 40.0];
+        specs
+            .iter()
+            .map(|&(high, preload, ready, id)| InstanceView {
+                id: InstanceId(id),
+                tier: if high { Tier::HighEnd } else { Tier::LowEnd },
+                preload: (preload < 2).then_some(ComponentTypeId(preload)),
+                ready_at: SimTime::from_secs(READY[ready]),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `place` matches the reference greedy + refine bit for bit on
+        /// random phases — tied exec times, empty pools, preloaded slots,
+        /// mixed `ready_at`, phases above the search cap — and one
+        /// optimizer reused across two phases carries nothing between
+        /// them.
+        #[test]
+        fn place_matches_reference_copy(
+            phase_a in proptest::collection::vec((0usize..3, 0usize..4, 0u32..4), 0..24),
+            pool_a in proptest::collection::vec((proptest::bool::ANY, 0u32..6, 0usize..4, 0u64..30), 0..20),
+            phase_b in proptest::collection::vec((0usize..3, 0usize..4, 0u32..4), 0..24),
+            pool_b in proptest::collection::vec((proptest::bool::ANY, 0u32..6, 0usize..4, 0u64..30), 0..20),
+            (max_search, now, weights, with_runtimes) in (0usize..16, 0usize..3, 0usize..3, proptest::bool::ANY),
+        ) {
+            let weights = [(1.0, 1.0), (3.0, 0.5), (0.2, 2.0)][weights];
+            let now = SimTime::from_secs([0.0, 0.25, 1.0][now]);
+            let runtimes: &[LanguageRuntime] = if with_runtimes { &RUNTIMES } else { &[] };
+            let mut opt = PlacementOptimizer::new(
+                StartupModel::aws(),
+                PriceSheet::aws(),
+                ObjectiveWeights { time: weights.0, cost: weights.1 },
+                0.20,
+                max_search,
+            );
+            for (phase, pool) in [(tied_phase(&phase_a), mixed_pool(&pool_a)), (tied_phase(&phase_b), mixed_pool(&pool_b))] {
+                let mut expected = reference::greedy(&opt, &phase, &pool);
+                if phase.components.len() <= max_search {
+                    reference::refine(&opt, &phase, &pool, now, runtimes, &mut expected);
+                }
+                let expected: Vec<Placement> = expected
+                    .iter()
+                    .map(|a| match *a {
+                        Assign::Hot(slot) => Placement { tier: pool[slot].tier, instance: Some(pool[slot].id) },
+                        Assign::Cold(tier) => Placement { tier, instance: None },
+                    })
+                    .collect();
+                let got = opt.place(&phase, &pool, now, runtimes);
+                prop_assert_eq!(got, expected);
+            }
+        }
+    }
+
+    /// Reference greedy and refine: comparator sorts, fresh buffers per
+    /// call and the cold branch through `StartupModel::cold_overhead_secs`.
+    /// `place` must match them bit for bit.
+    mod reference {
+        use super::super::*;
+
+        fn cold_cost(
+            opt: &PlacementOptimizer,
+            component: &ComponentInstance,
+            runtimes: &[LanguageRuntime],
+        ) -> (f64, f64) {
+            let tier = Tier::HighEnd;
+            let busy = opt.startup.cold_overhead_secs(component, tier, runtimes)
+                + tier.exec_secs(component) * opt.startup.exec_multiplier(true)
+                + opt.startup.output_write_secs(component, tier);
+            (busy, opt.pricing.cost(tier, busy))
+        }
+
+        pub(super) fn greedy(
+            opt: &PlacementOptimizer,
+            phase: &Phase,
+            available: &[InstanceView],
+        ) -> Vec<Assign> {
+            let n = phase.components.len();
+            let mut assigns = vec![Assign::Cold(Tier::HighEnd); n];
+
+            let mut he_slots: Vec<usize> = (0..available.len())
+                .filter(|&s| available[s].preload.is_none() && available[s].tier == Tier::HighEnd)
+                .collect();
+            let mut le_slots: Vec<usize> = (0..available.len())
+                .filter(|&s| available[s].preload.is_none() && available[s].tier == Tier::LowEnd)
+                .collect();
+            let by_ready = |slots: &mut Vec<usize>| {
+                slots.sort_by(|&a, &b| {
+                    available[a]
+                        .ready_at
+                        .cmp(&available[b].ready_at)
+                        .then(available[a].id.cmp(&available[b].id))
+                });
+            };
+            by_ready(&mut he_slots);
+            by_ready(&mut le_slots);
+            he_slots.reverse();
+            le_slots.reverse();
+
+            let mut friendly: Vec<usize> = (0..n)
+                .filter(|&i| phase.components[i].is_high_end_friendly(opt.friendly_threshold))
+                .collect();
+            friendly.sort_by(|&a, &b| {
+                phase.components[b]
+                    .exec_he_secs
+                    .total_cmp(&phase.components[a].exec_he_secs)
+            });
+            let mut modest: Vec<usize> = (0..n)
+                .filter(|&i| !phase.components[i].is_high_end_friendly(opt.friendly_threshold))
+                .collect();
+            modest.sort_by(|&a, &b| {
+                phase.components[b]
+                    .exec_le_secs
+                    .total_cmp(&phase.components[a].exec_le_secs)
+            });
+
+            let mut overflow = Vec::new();
+            for i in friendly {
+                match he_slots.pop() {
+                    Some(slot) => assigns[i] = Assign::Hot(slot),
+                    None => overflow.push(i),
+                }
+            }
+            for i in modest {
+                match le_slots.pop() {
+                    Some(slot) => assigns[i] = Assign::Hot(slot),
+                    None => overflow.push(i),
+                }
+            }
+            for i in overflow {
+                if let Some(slot) = he_slots.pop().or_else(|| le_slots.pop()) {
+                    assigns[i] = Assign::Hot(slot);
+                }
+            }
+            assigns
+        }
+
+        pub(super) fn refine(
+            opt: &PlacementOptimizer,
+            phase: &Phase,
+            available: &[InstanceView],
+            now: SimTime,
+            runtimes: &[LanguageRuntime],
+            assigns: &mut [Assign],
+        ) {
+            let n = phase.components.len();
+            if n == 0 {
+                return;
+            }
+            const NO_CLASS: usize = usize::MAX;
+            let mut class_of = vec![NO_CLASS; available.len()];
+            let mut classes: Vec<(Tier, SimTime)> = Vec::new();
+            for (slot, inst) in available.iter().enumerate() {
+                if inst.preload.is_some() {
+                    continue;
+                }
+                let key = (inst.tier, inst.ready_at);
+                class_of[slot] = match classes.iter().position(|&k| k == key) {
+                    Some(c) => c,
+                    None => {
+                        classes.push(key);
+                        classes.len() - 1
+                    }
+                };
+            }
+            let n_classes = classes.len();
+
+            let mut hot_tc: Vec<(f64, f64)> = Vec::with_capacity(n * n_classes);
+            let cold_tc: Vec<(f64, f64)> = phase
+                .components
+                .iter()
+                .map(|c| {
+                    for &(tier, ready_at) in &classes {
+                        hot_tc.push(opt.hot_slot_cost(c, tier, ready_at, now));
+                    }
+                    cold_cost(opt, c, runtimes)
+                })
+                .collect();
+            let tc_of = |i: usize, a: Assign| match a {
+                Assign::Hot(slot) => hot_tc[i * n_classes + class_of[slot]],
+                Assign::Cold(_) => cold_tc[i],
+            };
+
+            let mut times = vec![0.0f64; n];
+            let mut costs = vec![0.0f64; n];
+            let mut total_cost = 0.0;
+            let mut used = vec![false; available.len()];
+            for i in 0..n {
+                let (t, c) = tc_of(i, assigns[i]);
+                times[i] = t;
+                costs[i] = c;
+                total_cost += c;
+                if let Assign::Hot(slot) = assigns[i] {
+                    used[slot] = true;
+                }
+            }
+            let ref_time = times.iter().cloned().fold(0.0f64, f64::max);
+            let ref_cost = total_cost;
+            if ref_time <= 0.0 || ref_cost <= 0.0 {
+                return;
+            }
+            let objective =
+                |t: f64, c: f64| opt.weights.time * t / ref_time + opt.weights.cost * c / ref_cost;
+
+            #[allow(clippy::float_cmp)]
+            let top2 = |times: &[f64]| {
+                let mut max1 = 0.0f64;
+                let mut cnt1 = 0usize;
+                let mut max2 = 0.0f64;
+                for &t in times {
+                    if t > max1 {
+                        max2 = max1;
+                        max1 = t;
+                        cnt1 = 1;
+                    } else if t == max1 {
+                        cnt1 += 1;
+                    } else if t > max2 {
+                        max2 = t;
+                    }
+                }
+                (max1, cnt1, max2)
+            };
+            let (mut max1, mut cnt1, mut max2) = top2(&times);
+
+            let mut seen_class = vec![false; n_classes];
+            let mut cand_slots: Vec<usize> = Vec::with_capacity(n_classes);
+            let rebuild_cands =
+                |seen_class: &mut [bool], cand_slots: &mut Vec<usize>, used: &[bool]| {
+                    for c in seen_class.iter_mut() {
+                        *c = false;
+                    }
+                    cand_slots.clear();
+                    for (slot, &class) in class_of.iter().enumerate() {
+                        if class != NO_CLASS && !used[slot] && !seen_class[class] {
+                            seen_class[class] = true;
+                            cand_slots.push(slot);
+                            if cand_slots.len() == n_classes {
+                                break;
+                            }
+                        }
+                    }
+                };
+            rebuild_cands(&mut seen_class, &mut cand_slots, &used);
+            for _pass in 0..3 {
+                let mut improved = false;
+                for i in 0..n {
+                    let makespan_excl_i = if times[i] < max1 || cnt1 > 1 {
+                        max1
+                    } else {
+                        max2
+                    };
+
+                    let current_obj = objective(makespan_excl_i.max(times[i]), total_cost);
+                    let mut best: Option<(Assign, f64, f64, f64)> = None;
+                    let candidates = [Assign::Cold(Tier::HighEnd)]
+                        .into_iter()
+                        .chain(cand_slots.iter().map(|&s| Assign::Hot(s)));
+                    for cand in candidates {
+                        if cand == assigns[i] {
+                            continue;
+                        }
+                        let (t, c) = tc_of(i, cand);
+                        let obj = objective(makespan_excl_i.max(t), total_cost - costs[i] + c);
+                        if obj + 1e-12 < best.map_or(current_obj, |(_, _, _, o)| o) {
+                            best = Some((cand, t, c, obj));
+                        }
+                    }
+                    if let Some((cand, t, c, _)) = best {
+                        if let Assign::Hot(slot) = assigns[i] {
+                            used[slot] = false;
+                        }
+                        if let Assign::Hot(slot) = cand {
+                            used[slot] = true;
+                        }
+                        total_cost += c - costs[i];
+                        times[i] = t;
+                        costs[i] = c;
+                        assigns[i] = cand;
+                        improved = true;
+                        (max1, cnt1, max2) = top2(&times);
+                        rebuild_cands(&mut seen_class, &mut cand_slots, &used);
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+        }
     }
 }

@@ -209,7 +209,7 @@ fn workspace_clean_under_par_purity() {
 #[test]
 fn workspace_clean_under_effect_contract() {
     let f = workspace_findings(
-        "[rule.effect-contract]\ncrates = [\"*\"]\ncontracts = [\"Executor::run = shared-mut\", \"dd-platform::traffic::arrivals = pure\", \"dd-stats::fit::fit_weibull_grid = pure\", \"dd-stats::incremental::moments_centered_grid_fit_memo = shared-mut\", \"dd-platform::FrontDoor::serve = panic\"]\n",
+        "[rule.effect-contract]\ncrates = [\"*\"]\ncontracts = [\"Executor::run = shared-mut\", \"dd-platform::traffic::arrivals = pure\", \"dd-stats::fit::fit_weibull_grid = pure\", \"dd-stats::incremental::moments_centered_grid_fit_memo = shared-mut\", \"dd-platform::FrontDoor::serve = panic\", \"core::PlacementOptimizer::place = panic\"]\n",
     );
     assert!(f.is_empty(), "workspace breaks an effect contract:\n{f:#?}");
 }

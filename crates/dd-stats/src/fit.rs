@@ -86,21 +86,33 @@ pub fn fit_weibull_grid(
         .and_then(|w| chi2_grid_candidate(&w, &observed, total, len, f64::INFINITY))
         .unwrap_or(f64::INFINITY);
 
-    // Shared-power table for the approximate rejection filter: the exact
-    // CDF at a bin edge is `1 − exp(−(x/α)^β)`; factorizing the power as
-    // `x^β · α^{−β}` lets each shape row β pay its `x^β` evaluations once
-    // (steps·len powf calls total) instead of once per (α, β) candidate
-    // (steps²·len). The factorized product differs from `(x/α)^β` only in
-    // rounding, so the filter is approximate — candidates it rejects are
-    // those whose approximate statistic exceeds the incumbent by more
-    // than a conservative rounding-error bound, and every survivor still
-    // runs the exact canonical scan. The winner (value and identity) is
-    // therefore unchanged.
-    let mut edge_pows = vec![0.0; steps * len];
-    for bi in 0..steps {
+    // Segment table for the rejection filter: every non-empty bin is one
+    // segment, and every maximal run of empty bins collapses into one
+    // segment scored by its Cauchy–Schwarz lower bound (see
+    // [`segment_bound_exceeds`]). Each entry is (upper edge, observed
+    // count, half the bins covered); the overflow bin is scored after the
+    // last segment. The CDF at an edge is `1 − exp(−x^β·α^{−β})`, so each
+    // shape row β pays `x^β` once per segment edge (steps·segments powf
+    // calls in total) instead of once per (α, β) candidate and bin.
+    let mut segments: Vec<(f64, f64, f64)> = Vec::new();
+    let mut in_run = false;
+    for (k, &c) in hist.counts()[..len].iter().enumerate() {
+        let upper = k as f64 + 0.5;
+        match segments.last_mut() {
+            Some((edge, _, half)) if c == 0 && in_run => {
+                *edge = upper;
+                *half += 0.5;
+            }
+            _ => segments.push((upper, c as f64, 0.5)),
+        }
+        in_run = c == 0;
+    }
+    let n_seg = segments.len();
+    let mut edge_pows = vec![0.0; steps * n_seg];
+    for (bi, row) in edge_pows.chunks_exact_mut(n_seg).enumerate() {
         let beta = lerp(b_lo, b_hi, bi as f64 / (steps - 1) as f64);
-        for (k, cell) in edge_pows[bi * len..(bi + 1) * len].iter_mut().enumerate() {
-            *cell = (k as f64 + 0.5).powf(beta);
+        for (cell, &(edge, _, _)) in row.iter_mut().zip(&segments) {
+            *cell = edge.powf(beta);
         }
     }
 
@@ -116,11 +128,11 @@ pub fn fit_weibull_grid(
                 Some((s, _)) => s.min(seed),
                 None => seed,
             };
-            if approx_chi2_exceeds(
-                &edge_pows[bi * len..(bi + 1) * len],
+            if segment_bound_exceeds(
+                &edge_pows[bi * n_seg..(bi + 1) * n_seg],
+                &segments,
                 alpha,
                 beta,
-                &observed,
                 total,
                 abort_above,
             ) {
@@ -186,46 +198,56 @@ fn chi2_grid_candidate(
     (acc <= abort_above).then_some(acc)
 }
 
-/// Approximate rejection filter for [`chi2_grid_candidate`]: replays the
-/// canonical scan with the candidate's CDF factorized as
-/// `1 − exp(−x^β·α^{−β})` — `x^β` comes precomputed per shape row in
-/// `edge_pows`, so each term costs one multiply and one `exp` instead of
-/// a `powf` and an `exp`. Reports whether the approximate statistic
-/// proves the exact statistic must exceed `abort_above`.
+/// Rejection filter for [`chi2_grid_candidate`]: a lower bound B̃ on the
+/// candidate's statistic, evaluated segment by segment. Reports whether
+/// B̃ proves the exact statistic must exceed `abort_above`.
 ///
-/// Soundness: `x^β·α^{−β}` differs from the exact `(x/α)^β` only by a
-/// handful of ULPs, and the CDF damps that to an absolute error
-/// ≤ ~2e-15 per edge (`|d cdf| = e^{−t}·t·δ ≤ δ/e`). Propagated through
-/// `e = total·Δcdf` and the regularized terms (denominator ≥ 0.5,
-/// `Σ|observed − expected| ≤ 2·total`), the approximate statistic S̃
-/// satisfies `|S̃ − S| ≤ ~3e-14·total² + 1e-14·total·S`. The guard
-/// subtracted before comparing — `1e-12·total·(total + S̃)` — exceeds
-/// that bound by two orders of magnitude, so `true` implies the exact
-/// scan would have aborted, and a candidate whose exact statistic is
-/// ≤ `abort_above` is never pruned: `best` is left exactly as the dense
-/// reference scan would leave it. A NaN CDF (only reachable through
-/// overflow of `x^β` against underflow of `α^{−β}`, or vice versa)
-/// disables the filter for the candidate, which falls through to the
-/// exact scan.
-fn approx_chi2_exceeds(
+/// The bound: a non-empty bin contributes its exact term `(o−e)²/(e+½)`.
+/// A run of n empty bins contributes `E²/(E + n/2)` with `E` the run's
+/// expected mass `total·(cdf(hi) − cdf(lo))`, which never exceeds the
+/// run's exact share `Σ e_i²/(e_i+½)`: by Cauchy–Schwarz (Titu's lemma)
+/// that share is at least `(Σ e_i)²/(Σ e_i + n/2)`, the clamped per-bin
+/// masses sum to at least the telescoped `E`, and `E ↦ E²/(E + n/2)` is
+/// increasing. A run of one bin, like the overflow bin, is scored
+/// exactly. `x^β` comes precomputed per shape row in `edge_pows`, so each
+/// segment costs one multiply and one `exp`.
+///
+/// Soundness under rounding: `x^β·α^{−β}` differs from the exact
+/// `(x/α)^β` only by a handful of ULPs, and the CDF damps that to an
+/// absolute error ≤ ~2e-15 per edge (`|d cdf| = e^{−t}·t·δ ≤ δ/e`), so a
+/// segment's expected mass moves by ≤ ~4e-15·total. A collapsed term's
+/// slope in `E` is `E(E+n)/(E+n/2)² < 1`; a bin term's slope is ≤ 3
+/// where `|o−e| ≤ e+½` and ≤ 6× the term elsewhere. There are at most
+/// `2·total` segments plus the overflow bin (each empty run is followed
+/// by a non-empty bin), so `|B̃ − B| ≤ ~2e-14·total² + 3e-14·total·B̃`,
+/// and the float sums of both scans add a relative ~1e-16 per bin. The
+/// guard subtracted before comparing — `1e-12·total·(total + B̃)` —
+/// exceeds that by over an order of magnitude (for supports below ~9000
+/// bins), so `true` implies the exact scan would have aborted, and a
+/// candidate whose exact statistic is ≤ `abort_above` is never pruned:
+/// `best` is left exactly as the dense reference scan would leave it. A
+/// NaN CDF (only reachable through overflow of `x^β` against underflow
+/// of `α^{−β}`, or vice versa) disables the filter for the candidate,
+/// which falls through to the exact scan.
+fn segment_bound_exceeds(
     edge_pows: &[f64],
+    segments: &[(f64, f64, f64)],
     alpha: f64,
     beta: f64,
-    observed: &[f64],
     total: f64,
     abort_above: f64,
 ) -> bool {
     let a_pow = alpha.powf(-beta);
     let mut acc = 0.0;
     let mut prev_cdf = 0.0;
-    for (&u, &o) in edge_pows.iter().zip(observed) {
+    for (&u, &(_, o, half)) in edge_pows.iter().zip(segments) {
         let cdf = 1.0 - (-u * a_pow).exp();
         if cdf.is_nan() {
             return false;
         }
         let e = total * (cdf - prev_cdf).max(0.0);
         let d = o - e;
-        acc += d * d / (e + 0.5);
+        acc += d * d / (e + half);
         if acc - 1e-12 * total * (total + acc) > abort_above {
             return true;
         }
@@ -305,27 +327,48 @@ pub fn fit_weibull_moments(hist: &Histogram) -> Option<Weibull> {
     }
     let cv2 = var / (mean * mean);
 
-    // CV² is strictly decreasing in β; bisect on [0.05, 50].
-    let cv2_of = |beta: f64| {
-        let g1 = gamma(1.0 + 1.0 / beta);
-        let g2 = gamma(1.0 + 2.0 / beta);
-        g2 / (g1 * g1) - 1.0
-    };
-    let (mut lo, mut hi) = (0.05_f64, 50.0_f64);
-    if cv2 > cv2_of(lo) || cv2 < cv2_of(hi) {
+    // CV² is strictly decreasing in β; bisect on the shape bracket.
+    if cv2 > weibull_cv2(SHAPE_BRACKET.0) || cv2 < weibull_cv2(SHAPE_BRACKET.1) {
         return None;
     }
+    let beta = bisect_shape(cv2);
+    let alpha = mean / gamma(1.0 + 1.0 / beta);
+    Weibull::new(alpha, beta).ok()
+}
+
+/// Shape bracket `[lo, hi]` of the method-of-moments bisection.
+const SHAPE_BRACKET: (f64, f64) = (0.05, 50.0);
+
+/// Squared coefficient of variation of a Weibull with shape `beta`.
+fn weibull_cv2(beta: f64) -> f64 {
+    let g1 = gamma(1.0 + 1.0 / beta);
+    let g2 = gamma(1.0 + 2.0 / beta);
+    g2 / (g1 * g1) - 1.0
+}
+
+/// Solves `weibull_cv2(β) = cv2` by bisection over [`SHAPE_BRACKET`]: at
+/// most 200 steps, stopping as soon as the midpoint rounds onto an end of
+/// the bracket. From then on every step either leaves the bracket
+/// unchanged (a fixed point) or collapses it onto that midpoint, so the
+/// 200-step result `0.5·(lo + hi)` is that midpoint, bit for bit; the
+/// early stop saves the remaining ~140 steps of two Γ calls each.
+fn bisect_shape(cv2: f64) -> f64 {
+    let (mut lo, mut hi) = SHAPE_BRACKET;
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if cv2_of(mid) > cv2 {
+        // Exact on purpose: the fixed point is reached when the rounded
+        // midpoint *is* one of the bracket's ends.
+        #[allow(clippy::float_cmp)]
+        if mid == lo || mid == hi {
+            return mid;
+        }
+        if weibull_cv2(mid) > cv2 {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    let beta = 0.5 * (lo + hi);
-    let alpha = mean / gamma(1.0 + 1.0 / beta);
-    Weibull::new(alpha, beta).ok()
+    0.5 * (lo + hi)
 }
 
 /// A fitted temporal model together with its quality metric.
@@ -600,6 +643,34 @@ mod tests {
         let fit = fit_weibull_moments(&hist).unwrap();
         assert!((fit.alpha() - 6.0).abs() < 0.5, "alpha = {}", fit.alpha());
         assert!((fit.beta() - 3.0).abs() < 0.6, "beta = {}", fit.beta());
+    }
+
+    #[test]
+    fn shape_bisection_early_stop_is_bit_identical() {
+        // The uncut 200-step bisection the early stop replaces.
+        let full = |cv2: f64| {
+            let (mut lo, mut hi) = SHAPE_BRACKET;
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if weibull_cv2(mid) > cv2 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        };
+        // Log-spaced sweep over the whole admissible CV² range, ends
+        // included.
+        let (cv2_min, cv2_max) = (weibull_cv2(SHAPE_BRACKET.1), weibull_cv2(SHAPE_BRACKET.0));
+        for i in 0..=2000 {
+            let cv2 = cv2_min * (cv2_max / cv2_min).powf(i as f64 / 2000.0);
+            assert_eq!(
+                bisect_shape(cv2).to_bits(),
+                full(cv2).to_bits(),
+                "cv2 = {cv2}"
+            );
+        }
     }
 
     #[test]

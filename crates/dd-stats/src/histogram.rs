@@ -10,8 +10,9 @@ use serde::{Deserialize, Serialize};
 /// A histogram over non-negative integer observations.
 ///
 /// Counts are stored densely: `counts()[v]` is the number of observations
-/// equal to `v`. The vector is grown on demand and trailing zero bins are
-/// retained (callers that care can use [`Histogram::trimmed_len`]).
+/// equal to `v`. The vector is grown on demand and never ends in a zero
+/// bin, so equal observation multisets have equal count vectors (and
+/// compare equal).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -43,8 +44,11 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Records `n` observations of `value`.
+    /// Records `n` observations of `value`; `n == 0` is a no-op.
     pub fn record_n(&mut self, value: u32, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = value as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
@@ -242,6 +246,16 @@ mod tests {
         assert_eq!(h.total(), 1000);
         assert_eq!(h.count(4), 1000);
         assert!((h.mean() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_zero_leaves_histogram_unchanged() {
+        let mut h = Histogram::new();
+        h.record_n(9, 0);
+        assert_eq!(h, Histogram::new());
+        let mut h = Histogram::from_samples([1, 2]);
+        h.record_n(9, 0);
+        assert_eq!(h, Histogram::from_samples([1, 2]));
     }
 
     #[test]

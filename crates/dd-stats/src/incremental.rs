@@ -118,10 +118,8 @@ impl IncrementalWeibullFit {
 
     /// Records `n` identical observations.
     pub fn record_n(&mut self, value: u32, n: u64) {
-        if n > 0 {
-            self.observed.record_n(value, n);
-            self.dirty = true;
-        }
+        self.observed.record_n(value, n);
+        self.dirty = true;
     }
 
     /// The running observation histogram.

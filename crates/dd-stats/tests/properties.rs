@@ -5,10 +5,37 @@
 
 use dd_stats::incremental::{moments_centered_grid_fit, IncrementalWeibullFit};
 use dd_stats::{
-    autocorrelation, chi2_p_value, chi2_statistic, fit_polynomial, mean, normalized_chi2_error,
-    pearson, std_dev, Histogram, Normal, Poisson, SeedStream, Weibull,
+    autocorrelation, chi2_p_value, chi2_statistic, fit_polynomial, fit_weibull_grid,
+    fit_weibull_grid_reference, fit_weibull_moments, mean, normalized_chi2_error, pearson, std_dev,
+    Histogram, Normal, Poisson, SeedStream, Weibull,
 };
 use proptest::prelude::*;
+
+/// Asserts that the pruned grid fit equals the dense reference scan bit
+/// for bit (α, β, χ², fit fraction) under the predictor's moments-centred
+/// ranges (24 steps) and the fixed fig09/distfit ranges (48 steps).
+fn assert_grid_fit_matches_reference(hist: &Histogram, scale: f64) {
+    let mut ranges = vec![((scale * 3.0, scale * 20.0), (0.8, 14.0), 48)];
+    if let Some(c) = fit_weibull_moments(hist) {
+        ranges.push((
+            (c.alpha() * 0.4, c.alpha() * 1.6),
+            ((c.beta() * 0.4).max(0.2), c.beta() * 1.6),
+            24,
+        ));
+    }
+    for (a, b, steps) in ranges {
+        let fast = fit_weibull_grid(hist, a, b, steps);
+        let oracle = fit_weibull_grid_reference(hist, a, b, steps);
+        let bits = |f: Option<dd_stats::WeibullFit>| {
+            f.map(|f| [f.dist.alpha(), f.dist.beta(), f.chi2, f.fit_fraction].map(f64::to_bits))
+        };
+        assert_eq!(
+            bits(fast),
+            bits(oracle),
+            "ranges {a:?} {b:?} x {steps}, hist {hist:?}"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -194,6 +221,36 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The pruned grid fit matches the dense reference scan bit for bit on
+    /// sparse histograms: a few isolated values spread over a support of
+    /// up to 300, separated by long runs of empty bins.
+    #[test]
+    fn grid_fit_matches_reference_on_sparse_histograms(
+        pairs in proptest::collection::vec((0u32..300, 1u64..56), 1..20),
+        scale in 0.5f64..15.0,
+    ) {
+        let mut hist = Histogram::new();
+        for &(v, n) in &pairs {
+            hist.record_n(v, n);
+        }
+        assert_grid_fit_matches_reference(&hist, scale);
+    }
+
+    /// The same on dense histograms: 2–1100 Weibull draws capped at 300.
+    #[test]
+    fn grid_fit_matches_reference_on_dense_histograms(
+        alpha in 1.0f64..150.0,
+        beta in 0.5f64..12.0,
+        n in 2usize..1100,
+        seed in 0u64..1_000,
+        scale in 0.5f64..15.0,
+    ) {
+        let w = Weibull::new(alpha, beta).unwrap();
+        let mut rng = SeedStream::new(seed).rng();
+        let hist: Histogram = (0..n).map(|_| w.sample_count(&mut rng).min(300)).collect();
+        assert_grid_fit_matches_reference(&hist, scale);
     }
 
     /// Batched recording (`record_n`) is equivalent to repeated single
