@@ -84,7 +84,24 @@ mod tests {
     use dd_platform::prelude::*;
     use dd_platform::CloudVendor;
     use dd_stats::SeedStream;
-    use dd_wfdag::{RunGenerator, Workflow, WorkflowSpec};
+    use dd_wfdag::{LanguageRuntime, RunGenerator, Workflow, WorkflowSpec};
+
+    /// Builds `policy` for `run` and runs it on the AWS analytic executor.
+    fn run_aws(
+        policy: &dyn SchedulerPolicy,
+        run: &WorkflowRun,
+        runtimes: &[LanguageRuntime],
+        seeds: SeedStream,
+    ) -> RunOutcome {
+        let ctx = PolicyContext {
+            run,
+            runtimes,
+            vendor: CloudVendor::Aws,
+            seeds,
+        };
+        let on = Substrate::Analytic(&mut FaasExecutor::aws());
+        run_policy(policy, &ctx, on, None, false).into_outcome()
+    }
 
     #[test]
     fn policy_build_matches_hand_construction() {
@@ -104,18 +121,7 @@ mod tests {
 
         let mut policy = DayDreamPolicy::new();
         policy.prepare(&gen.generate(1_000));
-        let built = policy.build(&PolicyContext {
-            run: &run,
-            runtimes: &runtimes,
-            vendor: CloudVendor::Aws,
-            seeds,
-        });
-        let BuiltScheduler::Serverless(mut sched) = built else {
-            panic!("daydream builds a serverless scheduler");
-        };
-        let via_policy = FaasExecutor::aws()
-            .run(RunRequest::new(&run, &runtimes, sched.as_mut()))
-            .into_outcome();
+        let via_policy = run_aws(&policy, &run, &runtimes, seeds);
 
         assert_eq!(hand, via_policy);
     }
@@ -139,17 +145,7 @@ mod tests {
 
         let mut policy = DayDreamPolicy::with_config(config);
         policy.prepare(&gen.generate(1_000));
-        let BuiltScheduler::Serverless(mut sched) = policy.build(&PolicyContext {
-            run: &run,
-            runtimes: &runtimes,
-            vendor: CloudVendor::Aws,
-            seeds,
-        }) else {
-            panic!("daydream builds a serverless scheduler");
-        };
-        let via_policy = FaasExecutor::aws()
-            .run(RunRequest::new(&run, &runtimes, sched.as_mut()))
-            .into_outcome();
+        let via_policy = run_aws(&policy, &run, &runtimes, seeds);
 
         assert_eq!(hand, via_policy);
     }

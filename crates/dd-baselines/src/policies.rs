@@ -319,7 +319,7 @@ pub fn registry() -> PolicyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dd_platform::{CloudVendor, Executor, FaasExecutor, RunRequest};
+    use dd_platform::{run_policy, CloudVendor, FaasExecutor, Substrate};
     use dd_stats::SeedStream;
     use dd_wfdag::{RunGenerator, Workflow, WorkflowSpec};
 
@@ -372,14 +372,8 @@ mod tests {
                 vendor: CloudVendor::Aws,
                 seeds: SeedStream::new(7),
             };
-            let outcome = match policy.build(&ctx) {
-                BuiltScheduler::Serverless(mut sched) => FaasExecutor::aws()
-                    .run(RunRequest::new(&run, &runtimes, sched.as_mut()))
-                    .into_outcome(),
-                BuiltScheduler::Cluster(cluster) => {
-                    cluster.execute(&run, &runtimes, CloudVendor::Aws)
-                }
-            };
+            let on = Substrate::Analytic(&mut FaasExecutor::aws());
+            let outcome = run_policy(policy.as_ref(), &ctx, on, None, false).into_outcome();
             assert_eq!(outcome.phases.len(), run.phase_count(), "policy {name}");
             assert!(outcome.service_time_secs > 0.0, "policy {name}");
             assert!(outcome.ledger.total() > 0.0, "policy {name}");

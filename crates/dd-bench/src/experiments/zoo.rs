@@ -24,8 +24,7 @@ use dd_baselines::registry;
 use dd_obs::{MemoryRecorder, MetricsRegistry};
 use dd_platform::executor::metrics;
 use dd_platform::{
-    BuiltScheduler, Executor, FaasConfig, FaasExecutor, FaultConfig, PolicyContext, RunRequest,
-    SchedulerPolicy,
+    run_policy, FaasConfig, FaasExecutor, FaultConfig, PolicyContext, SchedulerPolicy, Substrate,
 };
 use dd_stats::SeedStream;
 use dd_wfdag::Workflow;
@@ -73,27 +72,24 @@ pub fn run(ctx: &ExperimentContext) -> String {
             vendor: ctx.vendor,
             seeds,
         };
-        match policy.build(&pctx) {
-            BuiltScheduler::Serverless(mut s) => {
-                let mut recorder = MemoryRecorder::new();
-                let mut executor = FaasExecutor::new(FaasConfig {
-                    vendor: ctx.vendor,
-                    faults,
-                    recovery,
-                    ..FaasConfig::default()
-                });
-                let outcome = executor
-                    .run(RunRequest::new(run, &runtimes, s.as_mut()).with_recorder(&mut recorder))
-                    .into_outcome();
-                (outcome, recorder.metrics)
-            }
-            BuiltScheduler::Cluster(cluster) => (
-                // Cluster execution emits no FaaS obs events; its start
-                // mix is all-cold by construction.
-                cluster.execute_faulted(run, &runtimes, ctx.vendor, faults, recovery),
-                MetricsRegistry::new(),
-            ),
-        }
+        let mut executor = FaasExecutor::new(FaasConfig {
+            vendor: ctx.vendor,
+            faults,
+            recovery,
+            ..FaasConfig::default()
+        });
+        // Cluster builds leave the recorder empty: their start mix is
+        // all-cold by construction.
+        let mut recorder = MemoryRecorder::new();
+        let outcome = run_policy(
+            policy.as_ref(),
+            &pctx,
+            Substrate::Analytic(&mut executor),
+            Some(&mut recorder),
+            false,
+        )
+        .into_outcome();
+        (outcome, recorder.metrics)
     });
 
     let mut matrix = Table::new([

@@ -24,5 +24,5 @@ pub mod workloads;
 
 pub use csv::write_matrix_csv;
 pub use sweep::{default_jobs, par_map, par_map_with};
-pub use traffic_sim::{simulate_stream, InnerExecutor, TrafficOutcome, TrafficParams};
+pub use traffic_sim::{simulate_stream, TrafficOutcome, TrafficParams};
 pub use workloads::{EvaluationMatrix, ExperimentContext, SchedulerKind, WorkflowEval};

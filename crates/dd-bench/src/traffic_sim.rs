@@ -1,15 +1,18 @@
 //! Multi-tenant serving simulation: glues the `dd_platform::traffic`
-//! front door to the per-run executors.
+//! front door to the per-run executor.
 //!
 //! The two-level design keeps `--jobs` determinism trivial: every
 //! arrival's run is a pure function of `(seed, tenant, arrival_index)`
 //! — generated, scheduled, and executed in isolation (the shared pool
 //! shows up as the merged-histogram `provisioned_concurrency` cap in its
-//! `FaasConfig`) — so the per-run executions fan out over `par_map` in
-//! merged-arrival order, and the strictly sequential [`FrontDoor`]
+//! `FaasConfig`) — so the per-run executions fan out over `par_map_with`
+//! in merged-arrival order, and the strictly sequential [`FrontDoor`]
 //! admission loop replays queueing over the precomputed service samples.
-//! The outcome is byte-identical at any `--jobs` and across the analytic
-//! and DES executors (which the workspace pins to bitwise agreement).
+//! Streams always run on the DES executor, each worker reusing one
+//! [`DesSession`]; the analytic executor agrees with it bit for bit
+//! under the same capped, faulted `FaasConfig` (pinned per run in
+//! `tests/perf_equivalence.rs`). The outcome is byte-identical at any
+//! `--jobs`.
 
 use crate::sweep::par_map_with;
 use dd_platform::traffic::{
@@ -17,39 +20,11 @@ use dd_platform::traffic::{
     TenantId, TenantSpec, TrafficConfig,
 };
 use dd_platform::{
-    BuiltScheduler, CloudVendor, DesFaasExecutor, DesSession, Executor, FaasConfig, FaasExecutor,
-    FaultConfig, PolicyContext, RunRequest, SchedulerPolicy,
+    run_policy, CloudVendor, DesFaasExecutor, DesSession, FaasConfig, FaultConfig, PolicyContext,
+    SchedulerPolicy, Substrate,
 };
 use dd_stats::SeedStream;
 use dd_wfdag::{RunGenerator, Workflow};
-
-/// Which per-run executor backs the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InnerExecutor {
-    /// Closed-form analytic executor.
-    Analytic,
-    /// Discrete-event executor.
-    Des,
-}
-
-impl InnerExecutor {
-    /// Parses an executor name (CLI `--executor`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "analytic" => Ok(Self::Analytic),
-            "des" => Ok(Self::Des),
-            other => Err(format!("unknown executor '{other}' (analytic|des)")),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Analytic => "analytic",
-            Self::Des => "des",
-        }
-    }
-}
 
 /// One serve session's shape.
 #[derive(Debug, Clone)]
@@ -73,8 +48,6 @@ pub struct TrafficParams {
     /// Worker threads for the per-run fan-out (results identical at any
     /// setting).
     pub jobs: usize,
-    /// Which per-run executor serves the stream.
-    pub executor: InnerExecutor,
     /// Uniform fault-injection rate for every run (0 = clean).
     pub fault_rate: f64,
     /// Fault-injection seed (salted per tenant).
@@ -96,7 +69,6 @@ impl Default for TrafficParams {
             scale_down: 10,
             vendor: CloudVendor::Aws,
             jobs: crate::sweep::default_jobs(),
-            executor: InnerExecutor::Des,
             fault_rate: 0.0,
             fault_seed: 7,
             policy: "daydream".to_string(),
@@ -158,7 +130,7 @@ fn median(sorted: &[f64]) -> f64 {
 
 /// Serves one multi-tenant arrival stream end to end: generates the
 /// arrival table, fans the per-arrival runs out over `params.jobs`
-/// worker threads on the chosen executor (each run capped by the
+/// worker threads on the DES executor (each run capped by the
 /// merged-histogram shared-pool plan), derives per-tenant SLAs from the
 /// solo service medians (1.5× — the "50% slack over dedicated" target),
 /// and replays front-door admission sequentially.
@@ -220,7 +192,6 @@ pub fn simulate_stream(params: &TrafficParams) -> TrafficOutcome {
         ),
         ..FaasConfig::default()
     };
-    let use_des = params.executor == InnerExecutor::Des;
     let samples: Vec<ServiceSample> =
         par_map_with(params.jobs, table.len(), DesSession::new, |session, idx| {
             let arrival = table[idx];
@@ -231,38 +202,23 @@ pub fn simulate_stream(params: &TrafficParams) -> TrafficOutcome {
                 .derive("traffic-sched")
                 .derive_index(arrival.tenant.0.into())
                 .derive_index(arrival.index as u64);
-            let outcome = match policy.build(&PolicyContext {
+            let pctx = PolicyContext {
                 run: &run,
                 runtimes: &generator.spec().runtimes,
                 vendor: params.vendor,
                 seeds,
-            }) {
-                BuiltScheduler::Serverless(mut scheduler) => {
-                    let request =
-                        RunRequest::new(&run, &generator.spec().runtimes, scheduler.as_mut());
-                    if use_des {
-                        DesFaasExecutor::new(faas_config(arrival.tenant.0))
-                            .run_with(session, request)
-                            .into_outcome()
-                    } else {
-                        FaasExecutor::new(faas_config(arrival.tenant.0))
-                            .run(request)
-                            .into_outcome()
-                    }
-                }
-                // Cluster policies bypass the FaaS pool (no shared-pool
-                // cap applies) but pay the same injected faults.
-                BuiltScheduler::Cluster(cluster) => {
-                    let cfg = faas_config(arrival.tenant.0);
-                    cluster.execute_faulted(
-                        &run,
-                        &generator.spec().runtimes,
-                        params.vendor,
-                        cfg.faults,
-                        cfg.recovery,
-                    )
-                }
             };
+            // Cluster policies bypass the FaaS pool (no shared-pool cap
+            // applies) but pay the same injected faults.
+            let executor = DesFaasExecutor::new(faas_config(arrival.tenant.0));
+            let outcome = run_policy(
+                policy.as_ref(),
+                &pctx,
+                Substrate::Des(&executor, session),
+                None,
+                false,
+            )
+            .into_outcome();
             ServiceSample::from_outcome(&outcome)
         });
 
@@ -320,18 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_and_des_streams_agree() {
-        let des = simulate_stream(&smoke_params());
-        let analytic = simulate_stream(&TrafficParams {
-            executor: InnerExecutor::Analytic,
-            ..smoke_params()
-        });
-        assert_eq!(des.report, analytic.report);
-        assert_eq!(des.samples, analytic.samples);
-        assert_eq!(des.recorder, analytic.recorder);
-    }
-
-    #[test]
     fn slas_derive_from_solo_medians() {
         let out = simulate_stream(&smoke_params());
         for spec in &out.config.tenants {
@@ -375,16 +319,5 @@ mod tests {
             policy: "quantum".to_string(),
             ..smoke_params()
         });
-    }
-
-    #[test]
-    fn executor_names_roundtrip() {
-        assert_eq!(InnerExecutor::parse("des").unwrap(), InnerExecutor::Des);
-        assert_eq!(
-            InnerExecutor::parse("Analytic").unwrap(),
-            InnerExecutor::Analytic
-        );
-        assert!(InnerExecutor::parse("quantum").is_err());
-        assert_eq!(InnerExecutor::Des.name(), "des");
     }
 }

@@ -10,9 +10,10 @@
 
 use daydream_core::{DayDreamHistory, DayDreamPolicy};
 use dd_baselines::{NaivePolicy, OraclePolicy, PegasusPolicy, WildPolicy};
-use dd_platform::SchedulerPolicy;
-use dd_platform::{BuiltScheduler, CloudVendor, FaasConfig, FaasExecutor, FaultConfig};
-use dd_platform::{Executor, PolicyContext, RecoveryPolicy, RunOutcome, RunRequest};
+use dd_platform::{
+    run_policy, CloudVendor, FaasConfig, FaasExecutor, FaultConfig, PolicyContext, RecoveryPolicy,
+    RunOutcome, SchedulerPolicy, Substrate,
+};
 use dd_stats::SeedStream;
 use dd_wfdag::{RunGenerator, Workflow, WorkflowRun, WorkflowSpec};
 
@@ -152,18 +153,6 @@ pub fn execute_run(
         SchedulerKind::Pegasus => Box::new(PegasusPolicy),
         SchedulerKind::Naive => Box::new(NaivePolicy),
     };
-    execute_policy(ctx, run, runtimes, policy.as_ref())
-}
-
-/// Executes one run under an already-prepared policy — the single
-/// dispatch point every experiment funnels through. Serverless builds
-/// run on the analytic FaaS executor; cluster builds execute directly.
-pub fn execute_policy(
-    ctx: &ExperimentContext,
-    run: &WorkflowRun,
-    runtimes: &[dd_wfdag::LanguageRuntime],
-    policy: &dyn SchedulerPolicy,
-) -> RunOutcome {
     let seeds = SeedStream::new(ctx.seed)
         .derive("scheduler")
         .derive_index(run.label.run_index as u64);
@@ -171,21 +160,20 @@ pub fn execute_policy(
         ctx,
         run,
         runtimes,
-        policy,
+        policy.as_ref(),
         seeds,
         FaultConfig::none(),
         RecoveryPolicy::backoff(),
     )
 }
 
-/// Executes one run under a prepared policy with fault injection: the
-/// serverless path runs on a faulted FaaS executor, the cluster path
-/// goes through [`dd_platform::ClusterPolicy::execute_faulted`]'s
-/// phase-stretch adapter. `seeds` feeds the policy's per-run scheduler:
-/// experiments that predate the registry each pinned their own
-/// derivation label and must keep it for byte-stable reports. With
-/// `FaultConfig::none()` and `RecoveryPolicy::backoff()` (the
-/// `FaasConfig` defaults) this is a clean run.
+/// Executes one run under a prepared policy with fault injection, on
+/// the analytic executor ([`run_policy`] gives cluster builds the same
+/// faults). `seeds` feeds the policy's per-run scheduler: experiments
+/// that predate the registry each pinned their own derivation label and
+/// must keep it for byte-stable reports. With `FaultConfig::none()` and
+/// `RecoveryPolicy::backoff()` (the `FaasConfig` defaults) this is a
+/// clean run.
 pub fn execute_policy_faulted(
     ctx: &ExperimentContext,
     run: &WorkflowRun,
@@ -201,22 +189,20 @@ pub fn execute_policy_faulted(
         vendor: ctx.vendor,
         seeds,
     };
-    match policy.build(&pctx) {
-        BuiltScheduler::Serverless(mut s) => {
-            let mut executor = FaasExecutor::new(FaasConfig {
-                vendor: ctx.vendor,
-                faults,
-                recovery,
-                ..FaasConfig::default()
-            });
-            executor
-                .run(RunRequest::new(run, runtimes, s.as_mut()))
-                .into_outcome()
-        }
-        BuiltScheduler::Cluster(cluster) => {
-            cluster.execute_faulted(run, runtimes, ctx.vendor, faults, recovery)
-        }
-    }
+    let mut executor = FaasExecutor::new(FaasConfig {
+        vendor: ctx.vendor,
+        faults,
+        recovery,
+        ..FaasConfig::default()
+    });
+    run_policy(
+        policy,
+        &pctx,
+        Substrate::Analytic(&mut executor),
+        None,
+        false,
+    )
+    .into_outcome()
 }
 
 /// Outcomes of every evaluated run of one workflow, per scheduler.

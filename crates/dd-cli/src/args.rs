@@ -1,11 +1,11 @@
 //! Argument parsing for `daydream-cli` (hand-rolled; the workspace's
 //! dependency policy has no CLI crate).
 
-use dd_bench::InnerExecutor;
 use dd_platform::traffic::ArrivalModel;
 use dd_platform::RecoveryPolicy;
 use dd_wfdag::Workflow;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Parses a `--policy` value: `help` lists the registry, anything else
 /// must be a registered policy name (the registry's unknown-name error —
@@ -119,8 +119,6 @@ pub struct ServeArgs {
     pub requests: usize,
     /// Shared capacity: runs in flight at once across all tenants.
     pub capacity: usize,
-    /// Per-run executor backing the stream (`--executor analytic|des`).
-    pub executor: InnerExecutor,
     /// Root seed (arrivals, run generation, schedulers).
     pub seed: u64,
     /// Phase-count divisor (1 = paper scale).
@@ -169,6 +167,104 @@ fn parse_workflow(s: &str) -> Result<Workflow, String> {
     }
 }
 
+/// One `--flag value` pair. The value is checked only when read, so an
+/// unknown trailing flag still reports as unknown.
+struct Flag<'a> {
+    name: &'a str,
+    value: Option<&'a str>,
+}
+
+impl<'a> Flag<'a> {
+    fn value(&self) -> Result<&'a str, String> {
+        self.value
+            .ok_or_else(|| format!("{} requires a value", self.name))
+    }
+
+    /// The value parsed as `T`; `what` names the expected kind in the
+    /// error ("a number", "a probability").
+    fn parsed<T: FromStr>(&self, what: &str) -> Result<T, String> {
+        self.value()?
+            .parse()
+            .map_err(|_| format!("{} takes {what}", self.name))
+    }
+}
+
+/// The flags `run`, `verify` and `serve` share, parsed in one place by
+/// [`parse_flags`]; each command seeds its own defaults.
+struct SharedFlags {
+    policy: String,
+    seed: u64,
+    scale: usize,
+    jobs: usize,
+    out: Option<PathBuf>,
+    fault_rate: f64,
+    fault_seed: u64,
+    obs: Option<ObsFormat>,
+    obs_out: Option<PathBuf>,
+}
+
+impl SharedFlags {
+    /// The defaults of every command but the fault seed.
+    fn with_fault_seed(fault_seed: u64) -> Self {
+        Self {
+            policy: "daydream".to_string(),
+            seed: 0xDA1D,
+            scale: 1,
+            jobs: dd_bench::default_jobs(),
+            out: None,
+            fault_rate: 0.0,
+            fault_seed,
+            obs: None,
+            obs_out: None,
+        }
+    }
+}
+
+/// Walks the `--flag value` pairs of `args`: shared flags land in
+/// `shared`, the rest go to `own`, which returns `Ok(false)` for a flag
+/// the command does not know. Returns `Ok(false)` when `--policy help`
+/// asks for the registry listing instead of a run.
+fn parse_flags(
+    args: &[String],
+    shared: &mut SharedFlags,
+    mut own: impl FnMut(&Flag<'_>) -> Result<bool, String>,
+) -> Result<bool, String> {
+    for pair in args.chunks(2) {
+        let flag = Flag {
+            name: &pair[0],
+            value: pair.get(1).map(String::as_str),
+        };
+        match flag.name {
+            "--policy" => match parse_policy(flag.value()?)? {
+                PolicyArg::Help => return Ok(false),
+                PolicyArg::Named(name) => shared.policy = name,
+            },
+            "--seed" => shared.seed = flag.parsed("a number")?,
+            "--scale" => shared.scale = flag.parsed::<usize>("a number")?.max(1),
+            "--jobs" => shared.jobs = flag.parsed::<usize>("a number")?.max(1),
+            "--out" => shared.out = Some(PathBuf::from(flag.value()?)),
+            "--fault-rate" => {
+                shared.fault_rate = flag.parsed("a probability")?;
+                if !(0.0..=1.0).contains(&shared.fault_rate) {
+                    return Err("--fault-rate must be within [0, 1]".to_string());
+                }
+            }
+            "--fault-seed" => shared.fault_seed = flag.parsed("a number")?,
+            "--obs" => shared.obs = Some(ObsFormat::parse(flag.value()?)?),
+            "--obs-out" => shared.obs_out = Some(PathBuf::from(flag.value()?)),
+            name => {
+                if !own(&flag)? {
+                    return Err(format!("unknown flag '{name}'"));
+                }
+            }
+        }
+    }
+    if shared.obs_out.is_some() && shared.obs.is_none() {
+        return Err("--obs-out requires --obs".to_string());
+    }
+    Ok(true)
+}
+
 /// Parses CLI arguments into a [`Command`].
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(verb) = args.first() else {
@@ -182,104 +278,52 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         other => return Err(format!("unknown command '{other}'")),
     }
 
+    let mut shared = SharedFlags::with_fault_seed(0);
     let mut workflow = None;
     let mut runs = 50usize;
-    let mut policy = "daydream".to_string();
-    let mut seed = 0xDA1Du64;
-    let mut scale = 1usize;
-    let mut out = None;
     let mut tolerance = 0.10f64;
-    let mut jobs = dd_bench::default_jobs();
-    let mut fault_rate = 0.0f64;
-    let mut fault_seed = 0u64;
     let mut retry_policy = RecoveryPolicy::backoff();
-    let mut obs = None;
-    let mut obs_out = None;
-
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = || -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag {
-            "--workflow" => workflow = Some(parse_workflow(value()?)?),
+    let listed = parse_flags(&args[1..], &mut shared, |flag| {
+        match flag.name {
+            "--workflow" => workflow = Some(parse_workflow(flag.value()?)?),
             "--runs" => {
-                runs = value()?
-                    .parse()
-                    .map_err(|_| "--runs takes a number".to_string())?;
+                runs = flag.parsed("a number")?;
                 if runs == 0 {
                     return Err("--runs must be at least 1".to_string());
                 }
             }
-            // --scheduler remains as a back-compat alias for --policy.
-            "--policy" | "--scheduler" => match parse_policy(value()?)? {
-                PolicyArg::Help => return Ok(Command::PolicyHelp),
-                PolicyArg::Named(name) => policy = name,
-            },
-            "--seed" => {
-                seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed takes a number".to_string())?
-            }
-            "--scale" => {
-                scale = value()?
-                    .parse()
-                    .map_err(|_| "--scale takes a number".to_string())?
-            }
-            "--out" => out = Some(PathBuf::from(value()?)),
-            "--jobs" => {
-                jobs = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--jobs takes a number".to_string())?
-                    .max(1)
-            }
             "--tolerance" => {
-                let pct: f64 = value()?
-                    .parse()
-                    .map_err(|_| "--tolerance takes a percentage".to_string())?;
+                let pct: f64 = flag.parsed("a percentage")?;
+                // NaN, infinite and negative bounds would pass or fail
+                // every run regardless of its deviation.
+                if !(pct.is_finite() && pct >= 0.0) {
+                    return Err("--tolerance must be a finite percentage >= 0".to_string());
+                }
                 tolerance = pct / 100.0;
             }
-            "--fault-rate" => {
-                fault_rate = value()?
-                    .parse()
-                    .map_err(|_| "--fault-rate takes a probability".to_string())?;
-                if !(0.0..=1.0).contains(&fault_rate) {
-                    return Err("--fault-rate must be within [0, 1]".to_string());
-                }
-            }
-            "--fault-seed" => {
-                fault_seed = value()?
-                    .parse()
-                    .map_err(|_| "--fault-seed takes a number".to_string())?
-            }
-            "--retry-policy" => retry_policy = RecoveryPolicy::parse(value()?)?,
-            "--obs" => obs = Some(ObsFormat::parse(value()?)?),
-            "--obs-out" => obs_out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag '{other}'")),
+            "--retry-policy" => retry_policy = RecoveryPolicy::parse(flag.value()?)?,
+            _ => return Ok(false),
         }
-        i += 2;
-    }
-
-    if obs_out.is_some() && obs.is_none() {
-        return Err("--obs-out requires --obs".to_string());
+        Ok(true)
+    })?;
+    if !listed {
+        return Ok(Command::PolicyHelp);
     }
 
     let run_args = RunArgs {
         workflow: workflow.ok_or("--workflow is required")?,
         runs,
-        policy,
-        seed,
-        scale,
-        out: out.ok_or("--out is required")?,
+        policy: shared.policy,
+        seed: shared.seed,
+        scale: shared.scale,
+        out: shared.out.ok_or("--out is required")?,
         tolerance,
-        jobs,
-        fault_rate,
-        fault_seed,
+        jobs: shared.jobs,
+        fault_rate: shared.fault_rate,
+        fault_seed: shared.fault_seed,
         retry_policy,
-        obs,
-        obs_out,
+        obs: shared.obs,
+        obs_out: shared.obs_out,
     };
     Ok(if verb == "run" {
         Command::Run(run_args)
@@ -290,110 +334,60 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 
 /// Parses `serve` flags (`args` excludes the verb).
 fn parse_serve(args: &[String]) -> Result<Command, String> {
-    let mut serve = ServeArgs {
-        tenants: 4,
-        model: ArrivalModel::Poisson,
-        rate: 0.05,
-        requests: 8,
-        capacity: 4,
-        executor: InnerExecutor::Des,
-        seed: 0xDA1D,
-        scale: 1,
-        jobs: dd_bench::default_jobs(),
-        out: None,
-        fault_rate: 0.0,
-        fault_seed: 7,
-        policy: "daydream".to_string(),
-        obs: None,
-        obs_out: None,
-    };
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = || -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag {
+    let mut shared = SharedFlags::with_fault_seed(7);
+    let mut tenants = 4;
+    let mut model = ArrivalModel::Poisson;
+    let mut rate = 0.05f64;
+    let mut requests = 8;
+    let mut capacity = 4;
+    let listed = parse_flags(args, &mut shared, |flag| {
+        match flag.name {
             "--tenants" => {
-                serve.tenants = value()?
-                    .parse()
-                    .map_err(|_| "--tenants takes a number".to_string())?;
-                if serve.tenants == 0 {
+                tenants = flag.parsed("a number")?;
+                if tenants == 0 {
                     return Err("--tenants must be at least 1".to_string());
                 }
             }
-            "--arrival" => serve.model = ArrivalModel::parse(value()?)?,
+            "--arrival" => model = ArrivalModel::parse(flag.value()?)?,
             "--rate" => {
-                serve.rate = value()?
-                    .parse()
-                    .map_err(|_| "--rate takes a number".to_string())?;
-                if !(serve.rate > 0.0 && serve.rate.is_finite()) {
+                rate = flag.parsed("a number")?;
+                if !(rate > 0.0 && rate.is_finite()) {
                     return Err("--rate must be a positive rate".to_string());
                 }
             }
             "--requests" => {
-                serve.requests = value()?
-                    .parse()
-                    .map_err(|_| "--requests takes a number".to_string())?
-            }
-            "--capacity" => {
-                serve.capacity = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--capacity takes a number".to_string())?
-                    .max(1)
-            }
-            "--executor" => serve.executor = InnerExecutor::parse(value()?)?,
-            "--seed" => {
-                serve.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed takes a number".to_string())?
-            }
-            "--scale" => {
-                serve.scale = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--scale takes a number".to_string())?
-                    .max(1)
-            }
-            "--jobs" => {
-                serve.jobs = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--jobs takes a number".to_string())?
-                    .max(1)
-            }
-            "--out" => serve.out = Some(PathBuf::from(value()?)),
-            "--fault-rate" => {
-                serve.fault_rate = value()?
-                    .parse()
-                    .map_err(|_| "--fault-rate takes a probability".to_string())?;
-                if !(0.0..=1.0).contains(&serve.fault_rate) {
-                    return Err("--fault-rate must be within [0, 1]".to_string());
+                requests = flag.parsed("a number")?;
+                if requests == 0 {
+                    return Err("--requests must be at least 1".to_string());
                 }
             }
-            "--fault-seed" => {
-                serve.fault_seed = value()?
-                    .parse()
-                    .map_err(|_| "--fault-seed takes a number".to_string())?
-            }
-            "--policy" | "--scheduler" => match parse_policy(value()?)? {
-                PolicyArg::Help => return Ok(Command::PolicyHelp),
-                PolicyArg::Named(name) => serve.policy = name,
-            },
-            "--obs" => serve.obs = Some(ObsFormat::parse(value()?)?),
-            "--obs-out" => serve.obs_out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag '{other}'")),
+            "--capacity" => capacity = flag.parsed::<usize>("a number")?.max(1),
+            _ => return Ok(false),
         }
-        i += 2;
+        Ok(true)
+    })?;
+    if !listed {
+        return Ok(Command::PolicyHelp);
     }
-
-    if serve.obs_out.is_some() && serve.obs.is_none() {
-        return Err("--obs-out requires --obs".to_string());
-    }
-    if serve.obs.is_some() && serve.obs_out.is_none() && serve.out.is_none() {
+    if shared.obs.is_some() && shared.obs_out.is_none() && shared.out.is_none() {
         return Err("--obs requires --out or --obs-out".to_string());
     }
-    Ok(Command::Serve(serve))
+    Ok(Command::Serve(ServeArgs {
+        tenants,
+        model,
+        rate,
+        requests,
+        capacity,
+        seed: shared.seed,
+        scale: shared.scale,
+        jobs: shared.jobs,
+        out: shared.out,
+        fault_rate: shared.fault_rate,
+        fault_seed: shared.fault_seed,
+        policy: shared.policy,
+        obs: shared.obs,
+        obs_out: shared.obs_out,
+    }))
 }
 
 #[cfg(test)]
@@ -458,6 +452,39 @@ mod tests {
                 assert!((a.tolerance - 0.05).abs() < 1e-12);
             }
             other => panic!("wrong command: {other:?}"),
+        }
+        // A zero bound is in range.
+        let zero = strs(&[
+            "verify",
+            "--workflow",
+            "ccl",
+            "--out",
+            "o",
+            "--tolerance",
+            "0",
+        ]);
+        assert!(parse_args(&zero).is_ok());
+    }
+
+    #[test]
+    fn tolerance_must_be_finite_and_non_negative() {
+        // NaN and infinite bounds pass tampered artifacts; a negative one
+        // fails exact reproductions.
+        for bad in ["nan", "NaN", "inf", "-inf", "-5", "-0.001"] {
+            let argv = strs(&[
+                "verify",
+                "--workflow",
+                "ccl",
+                "--out",
+                "o",
+                "--tolerance",
+                bad,
+            ]);
+            assert_eq!(
+                parse_args(&argv),
+                Err("--tolerance must be a finite percentage >= 0".to_string()),
+                "--tolerance {bad}"
+            );
         }
     }
 
@@ -640,21 +667,6 @@ mod tests {
                 other => panic!("wrong command: {other:?}"),
             }
         }
-        // --scheduler stays as a back-compat alias, case-insensitively.
-        match parse_args(&strs(&[
-            "run",
-            "--workflow",
-            "ccl",
-            "--out",
-            "x",
-            "--scheduler",
-            "WILD",
-        ]))
-        .unwrap()
-        {
-            Command::Run(a) => assert_eq!(a.policy, "wild"),
-            other => panic!("wrong command: {other:?}"),
-        }
     }
 
     #[test]
@@ -712,7 +724,7 @@ mod tests {
 
     #[test]
     fn parses_serve_command() {
-        // Defaults: a 4-tenant Poisson stream on the DES executor.
+        // Defaults: a 4-tenant Poisson stream, fault seed 7.
         match parse_args(&strs(&["serve"])).unwrap() {
             Command::Serve(a) => {
                 assert_eq!(a.tenants, 4);
@@ -720,7 +732,7 @@ mod tests {
                 assert!((a.rate - 0.05).abs() < 1e-12);
                 assert_eq!(a.requests, 8);
                 assert_eq!(a.capacity, 4);
-                assert_eq!(a.executor, InnerExecutor::Des);
+                assert_eq!(a.fault_seed, 7);
                 assert_eq!(a.scale, 1);
                 assert_eq!(a.out, None);
                 assert_eq!(a.obs, None);
@@ -739,8 +751,6 @@ mod tests {
             "3",
             "--capacity",
             "2",
-            "--executor",
-            "analytic",
             "--scale",
             "25",
             "--jobs",
@@ -758,7 +768,6 @@ mod tests {
                 assert!((a.rate - 0.2).abs() < 1e-12);
                 assert_eq!(a.requests, 3);
                 assert_eq!(a.capacity, 2);
-                assert_eq!(a.executor, InnerExecutor::Analytic);
                 assert_eq!(a.scale, 25);
                 assert_eq!(a.jobs, 2);
                 assert_eq!(a.out, Some(PathBuf::from("served")));
@@ -774,7 +783,11 @@ mod tests {
         assert!(parse_args(&strs(&["serve", "--rate", "-1"])).is_err());
         assert!(parse_args(&strs(&["serve", "--rate", "inf"])).is_err());
         assert!(parse_args(&strs(&["serve", "--arrival", "solar"])).is_err());
-        assert!(parse_args(&strs(&["serve", "--executor", "quantum"])).is_err());
+        // `--requests 0` would serve nothing and still report success.
+        assert_eq!(
+            parse_args(&strs(&["serve", "--requests", "0"])),
+            Err("--requests must be at least 1".to_string())
+        );
         assert!(parse_args(&strs(&["serve", "--fault-rate", "1.5"])).is_err());
         assert!(parse_args(&strs(&["serve", "--frobnicate", "1"])).is_err());
         // An obs export needs somewhere to land.

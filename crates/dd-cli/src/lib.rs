@@ -25,7 +25,7 @@ USAGE:
                         [--seed N] [--scale N] [--jobs N] --out <dir> [--tolerance PCT]
                         [--fault-rate P] [--fault-seed N] [--retry-policy R]
     daydream-cli serve  [--tenants N] [--arrival <poisson|bursty|diurnal>] [--rate R]
-                        [--requests N] [--capacity N] [--executor <analytic|des>]
+                        [--requests N] [--capacity N]
                         [--seed N] [--scale N] [--jobs N] [--out <dir>] [--policy P]
                         [--fault-rate P] [--fault-seed N] [--obs FMT] [--obs-out <dir>]
     daydream-cli info
@@ -33,7 +33,7 @@ USAGE:
 
 POLICIES: daydream (default), oracle, wild, pegasus, naive, hybrid,
           fixed-pool, icps, wukong — `--policy help` lists them with
-          summaries; `--scheduler` is accepted as an alias
+          summaries
 RETRY POLICIES: none, backoff (default), timeout, speculate
 OBS FORMATS: jsonl, chrome, summary
 
@@ -59,8 +59,8 @@ by deficit-round-robin onto a shared hot pool sized from the merged
 per-tenant concurrency histograms. The per-tenant report (admission
 delay, sojourn, SLA attainment, attributed cost) prints to stdout; with
 --out it also writes serve_report.txt and admissions.csv, and --obs adds
-the front-door event stream. Every byte is identical at any --jobs
-setting and across the analytic and DES executors.
+the front-door event stream. Each run executes on the discrete-event
+executor; every byte is identical at any --jobs setting.
 
 --obs enables the deterministic observability recorder and writes one
 export per run next to the artifact files (obs.jsonl, trace.json for

@@ -6,8 +6,8 @@ use dd_baselines::registry;
 use dd_bench::{simulate_stream, TrafficOutcome, TrafficParams};
 use dd_obs::MemoryRecorder;
 use dd_platform::{
-    BuiltScheduler, CloudVendor, ExecutionTrace, Executor, FaasConfig, FaasExecutor, FaultConfig,
-    PolicyContext, RunOutcome, RunRequest, SchedulerPolicy, ServerlessScheduler,
+    run_policy, CloudVendor, ExecutionTrace, FaasConfig, FaasExecutor, FaultConfig, PolicyContext,
+    RunOutcome, SchedulerPolicy, Substrate,
 };
 use dd_stats::SeedStream;
 use dd_wfdag::{RunGenerator, Workflow, WorkflowRun, WorkflowSpec};
@@ -38,11 +38,7 @@ pub fn run_command(cmd: &Command) -> Result<(), String> {
             Ok(())
         }
         Command::Serve(args) => {
-            eprintln!(
-                "[serve: {} executor, {} jobs]",
-                args.executor.name(),
-                args.jobs
-            );
+            eprintln!("[serve: des executor, {} jobs]", args.jobs);
             let report = run_serve(args)?;
             print!("{report}");
             Ok(())
@@ -72,22 +68,6 @@ pub fn run_command(cmd: &Command) -> Result<(), String> {
     }
 }
 
-/// Runs one scheduler through the unified [`Executor`] API, recording
-/// into `recorder` when observability is on.
-fn serve(
-    executor: &mut FaasExecutor,
-    run: &WorkflowRun,
-    runtimes: &[dd_wfdag::LanguageRuntime],
-    scheduler: &mut dyn ServerlessScheduler,
-    recorder: Option<&mut MemoryRecorder>,
-) -> (RunOutcome, ExecutionTrace) {
-    let mut req = RunRequest::new(run, runtimes, scheduler).traced();
-    if let Some(rec) = recorder {
-        req = req.with_recorder(rec);
-    }
-    executor.run(req).into_traced()
-}
-
 /// Executes one run under the chosen policy, returning the outcome,
 /// full trace and (when `--obs` is set) the run's recorder.
 fn execute_one(
@@ -102,35 +82,24 @@ fn execute_one(
     let seeds = SeedStream::new(args.seed)
         .derive("cli")
         .derive_index(run.label.run_index as u64);
-    let faults = FaultConfig::uniform(args.fault_rate).with_seed(args.fault_seed);
-    let built = policy.build(&PolicyContext {
+    let pctx = PolicyContext {
         run,
         runtimes,
         vendor: CloudVendor::Aws,
         seeds,
-    });
-    let (outcome, trace) = match built {
-        BuiltScheduler::Serverless(mut s) => {
-            // At the default `--fault-rate 0` this config is identical to
-            // `FaasExecutor::aws()` — clean runs stay byte-identical to
-            // builds without the fault engine.
-            let mut executor = FaasExecutor::new(FaasConfig {
-                faults,
-                recovery: args.retry_policy,
-                ..FaasConfig::default()
-            });
-            serve(&mut executor, run, runtimes, s.as_mut(), recorder.as_mut())
-        }
-        BuiltScheduler::Cluster(cluster) => {
-            // The cluster path bypasses the serverless executor (its
-            // recorder stays empty); the trait's trace adapter derives
-            // the artifact files from the cluster contention model.
-            let outcome =
-                cluster.execute_faulted(run, runtimes, CloudVendor::Aws, faults, args.retry_policy);
-            let trace = cluster.trace(run, &outcome);
-            (outcome, trace)
-        }
     };
+    // At the default `--fault-rate 0` this config is identical to
+    // `FaasExecutor::aws()` — clean runs stay byte-identical to builds
+    // without the fault engine. A cluster build leaves the recorder empty
+    // and derives its artifact trace from the cluster contention model.
+    let mut executor = FaasExecutor::new(FaasConfig {
+        faults: FaultConfig::uniform(args.fault_rate).with_seed(args.fault_seed),
+        recovery: args.retry_policy,
+        ..FaasConfig::default()
+    });
+    let rec = recorder.as_mut().map(|r| r as &mut dyn dd_obs::Recorder);
+    let (outcome, trace) =
+        run_policy(policy, &pctx, Substrate::Analytic(&mut executor), rec, true).into_traced();
     (outcome, trace, recorder)
 }
 
@@ -254,8 +223,7 @@ pub fn verify_against(args: &RunArgs) -> Result<String, String> {
 /// returns the rendered report. With `--out` set the report and an
 /// `admissions.csv` land in the directory; with `--obs` the front-door
 /// recorder is exported too. Every byte — stdout and files — is
-/// identical at any `--jobs` setting and across the analytic and DES
-/// executors.
+/// identical at any `--jobs` setting.
 pub fn run_serve(args: &ServeArgs) -> Result<String, String> {
     let params = TrafficParams {
         seed: args.seed,
@@ -266,7 +234,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, String> {
         capacity: args.capacity,
         scale_down: args.scale,
         jobs: args.jobs,
-        executor: args.executor,
         fault_rate: args.fault_rate,
         fault_seed: args.fault_seed,
         policy: args.policy.clone(),
@@ -309,9 +276,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, String> {
 /// All values print at fixed precision so the bytes are diffable.
 fn render_serve_report(params: &TrafficParams, outcome: &TrafficOutcome) -> String {
     let r = &outcome.report;
-    // The executor is deliberately absent: serve bytes are pinned to be
-    // identical across analytic and DES, so naming one would be the only
-    // differing byte.
     let mut out = format!(
         "served {} runs from {} tenants ({} arrivals @ {:.4} req/s/tenant, \
          capacity {}, shared pool {}, seed {})\n",
@@ -349,7 +313,7 @@ fn render_serve_report(params: &TrafficParams, outcome: &TrafficOutcome) -> Stri
 }
 
 /// One row per admission, in admission order — the stream's determinism
-/// witness (CI byte-compares this file across `--jobs` and executors).
+/// witness (CI byte-compares this file across `--jobs`).
 fn admissions_csv(outcome: &TrafficOutcome) -> String {
     let mut out = String::from(
         "arrival_idx,tenant,arrived_at_secs,admitted_at_secs,completed_at_secs,\
@@ -505,14 +469,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(out);
     }
 
-    fn serve_args(out: PathBuf, jobs: usize, executor: dd_bench::InnerExecutor) -> ServeArgs {
+    fn serve_args(out: PathBuf, jobs: usize) -> ServeArgs {
         ServeArgs {
             tenants: 4,
             model: dd_platform::traffic::ArrivalModel::Bursty,
             rate: 0.1,
             requests: 2,
             capacity: 2,
-            executor,
             seed: 0xDA1D,
             scale: 25,
             jobs,
@@ -526,16 +489,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_outputs_identical_across_jobs_and_executors() {
-        use dd_bench::InnerExecutor;
+    fn serve_outputs_identical_across_jobs() {
         let base = tmpdir("serve-base");
         let jobs8 = tmpdir("serve-jobs8");
-        let analytic = tmpdir("serve-analytic");
-        let r1 = run_serve(&serve_args(base.clone(), 1, InnerExecutor::Des)).unwrap();
-        let r2 = run_serve(&serve_args(jobs8.clone(), 8, InnerExecutor::Des)).unwrap();
-        let r3 = run_serve(&serve_args(analytic.clone(), 8, InnerExecutor::Analytic)).unwrap();
-        assert_eq!(r1, r2, "report differs across --jobs");
-        assert_eq!(r1, r3, "report differs across executors");
+        let r1 = run_serve(&serve_args(base.clone(), 1)).unwrap();
+        let r8 = run_serve(&serve_args(jobs8.clone(), 8)).unwrap();
+        assert_eq!(r1, r8, "report differs across --jobs");
         assert!(r1.contains("served 8 runs from 4 tenants"), "{r1}");
         for name in ["serve_report.txt", "admissions.csv", "obs.jsonl"] {
             let b1 = std::fs::read(base.join(name)).unwrap();
@@ -545,16 +504,11 @@ mod tests {
                 std::fs::read(jobs8.join(name)).unwrap(),
                 "{name} differs across --jobs"
             );
-            assert_eq!(
-                b1,
-                std::fs::read(analytic.join(name)).unwrap(),
-                "{name} differs across executors"
-            );
         }
         // The admission witness has a header plus one row per run.
         let csv = std::fs::read_to_string(base.join("admissions.csv")).unwrap();
         assert_eq!(csv.lines().count(), 9, "{csv}");
-        for dir in [base, jobs8, analytic] {
+        for dir in [base, jobs8] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

@@ -122,13 +122,11 @@ impl<'a> RunBooks<'a> {
         }
         scheduler.set_event_recording(rec.is_some());
         // One fault plan per run: the run index is mixed into the seed so
-        // different runs of a sweep see different fault placements. A
-        // request-level override replaces the configured plan wholesale.
+        // different runs of a sweep see different fault placements.
         let cfg = platform.config;
-        let (faults, recovery) = req.faults.unwrap_or((cfg.faults, cfg.recovery));
         let plan = FaultPlan::for_run(
-            faults.absorbing_startup(&platform.startup),
-            recovery,
+            cfg.faults.absorbing_startup(&platform.startup),
+            cfg.recovery,
             run.label.run_index as u64,
         );
         // Storage hints are sampled once per run; zero fractions keep the

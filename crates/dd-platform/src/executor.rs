@@ -8,7 +8,11 @@
 //!
 //! The request is passed **by value**, not by reference: it carries the
 //! `&mut` scheduler and recorder borrows for the duration of the run, so
-//! a shared `&RunRequest` could not hand them to the executor.
+//! a shared `&RunRequest` could not hand them to the executor. Faults are
+//! not part of a request: the executor's `FaasConfig` (`faults`,
+//! `recovery`) is the one place a run's fault plan is set.
+//! [`crate::policy::run_policy`] turns a policy build into a request on
+//! the caller's executor.
 //!
 //! # Canonical observability emission order
 //!
@@ -28,7 +32,7 @@
 //! 3. run end: the `service_time_secs` gauge.
 
 use crate::des::SimTime;
-use crate::faults::{ComponentTimeline, FaultConfig, RecoveryPolicy};
+use crate::faults::ComponentTimeline;
 use crate::pool::PooledInstance;
 use crate::sched::{PhaseObservation, SchedulerEvent, ServerlessScheduler, StartKind};
 use crate::telemetry::{PhaseRecord, RunOutcome};
@@ -75,13 +79,10 @@ pub struct RunRequest<'a> {
     pub recorder: Option<&'a mut dyn Recorder>,
     /// Whether to collect the full [`ExecutionTrace`].
     pub collect_trace: bool,
-    /// Per-request fault plan override; `None` uses the executor's
-    /// configured `faults` / `recovery`.
-    pub faults: Option<(FaultConfig, RecoveryPolicy)>,
 }
 
 impl<'a> RunRequest<'a> {
-    /// A plain request: no trace, no recorder, configured faults.
+    /// A plain request: no trace, no recorder.
     pub fn new(
         run: &'a WorkflowRun,
         runtimes: &'a [LanguageRuntime],
@@ -93,7 +94,6 @@ impl<'a> RunRequest<'a> {
             scheduler,
             recorder: None,
             collect_trace: false,
-            faults: None,
         }
     }
 
@@ -108,13 +108,6 @@ impl<'a> RunRequest<'a> {
     #[must_use]
     pub fn with_recorder(mut self, recorder: &'a mut dyn Recorder) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Override the executor's fault plan for this run.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultConfig, recovery: RecoveryPolicy) -> Self {
-        self.faults = Some((faults, recovery));
         self
     }
 }
@@ -148,7 +141,8 @@ impl RunReport {
 }
 
 /// A workflow executor: one entry point for every execution mode
-/// (plain, traced, fault-injected, recorded — all via [`RunRequest`]).
+/// (plain, traced, recorded via [`RunRequest`]; fault-injected via the
+/// executor's configuration).
 pub trait Executor {
     /// Executes the request.
     fn run(&mut self, req: RunRequest<'_>) -> RunReport;

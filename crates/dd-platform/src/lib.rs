@@ -17,9 +17,10 @@
 //!   reports (Sec. IV–V),
 //! * [`pool`], [`telemetry`] — instance-pool bookkeeping and the cost /
 //!   metrics ledger every experiment reads,
-//! * [`policy`] — the pluggable [`policy::SchedulerPolicy`] surface and
-//!   the deterministic name-keyed [`policy::PolicyRegistry`] behind
-//!   `--policy <name>`,
+//! * [`policy`] — the pluggable [`policy::SchedulerPolicy`] surface, the
+//!   deterministic name-keyed [`policy::PolicyRegistry`] behind
+//!   `--policy <name>`, and [`policy::run_policy`], the one dispatch
+//!   that runs a build on its substrate,
 //! * [`faults`] — the deterministic fault-injection and recovery engine
 //!   (retry / timeout / backoff / speculation) shared by both executors.
 //!
@@ -79,7 +80,8 @@ pub use faults::{
 };
 pub use instance::{InstanceLifecycle, InstanceState};
 pub use policy::{
-    BuiltScheduler, ClusterPolicy, PolicyContext, PolicyFactory, PolicyRegistry, SchedulerPolicy,
+    run_policy, BuiltScheduler, ClusterPolicy, PolicyContext, PolicyFactory, PolicyRegistry,
+    SchedulerPolicy, Substrate,
 };
 pub use pool::{InstanceId, InstanceView, PoolEntryRequest, PoolRequest, PooledInstance};
 pub use pricing::{CloudVendor, PriceSheet};
@@ -113,7 +115,8 @@ pub mod prelude {
     pub use crate::faas_des::{DesFaasExecutor, DesSession};
     pub use crate::faults::{FaultConfig, FaultStats, RecoveryPolicy};
     pub use crate::policy::{
-        BuiltScheduler, ClusterPolicy, PolicyContext, PolicyRegistry, SchedulerPolicy,
+        run_policy, BuiltScheduler, ClusterPolicy, PolicyContext, PolicyRegistry, SchedulerPolicy,
+        Substrate,
     };
     pub use crate::sched::{
         PhaseObservation, Placement, RunInfo, SchedulerEvent, ServerlessScheduler, StartKind,

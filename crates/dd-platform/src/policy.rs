@@ -1,4 +1,5 @@
-//! The pluggable scheduler-policy surface: one trait, one registry.
+//! The pluggable scheduler-policy surface: one trait, one registry, one
+//! dispatch.
 //!
 //! Everything that schedules a workflow run — DayDream itself, the six
 //! evaluation baselines, and the post-paper competitors — is a
@@ -9,12 +10,20 @@
 //! * **Serverless** — a [`ServerlessScheduler`] driven by the FaaS
 //!   executors' observe/decide/place lifecycle ([`crate::sched`]): pool
 //!   sizing from [`crate::sched::PhaseObservation`]s, start-mode and tier
-//!   decisions at placement, and optional [`StorageHints`] consumed by
-//!   the storage-cost model.
+//!   decisions at placement, and optional
+//!   [`crate::sched::StorageHints`] consumed by the storage-cost model.
 //! * **Cluster** — a [`ClusterPolicy`] executing the whole run on a
 //!   rented cluster (Pegasus). The trait ships default fault-stretch and
 //!   trace adapters so cluster policies participate in the fault matrix
 //!   and the CLI trace artifacts exactly like the serverless ones.
+//!
+//! [`run_policy`] is the one place a build meets its substrate: every
+//! front end (the experiments, the serve stream, the CLI, the examples)
+//! builds and runs through it. A serverless build runs on the caller's
+//! [`Substrate`] — the analytic [`FaasExecutor`] or the event-driven
+//! [`DesFaasExecutor`] on a reused [`DesSession`]; a cluster build runs
+//! [`ClusterPolicy::execute_faulted`] under the vendor, faults and
+//! recovery of that executor's [`FaasConfig`].
 //!
 //! The [`PolicyRegistry`] maps stable lowercase names to factories in
 //! **registration order** — listings, `--policy help`, and the zoo
@@ -30,12 +39,16 @@
 
 use crate::cluster::{ClusterKind, ClusterSim};
 use crate::des::SimTime;
+use crate::executor::{Executor, RunReport, RunRequest};
+use crate::faas::{FaasConfig, FaasExecutor};
+use crate::faas_des::{DesFaasExecutor, DesSession};
 use crate::faults::{FaultConfig, FaultPlan, RecoveryPolicy};
 use crate::pricing::CloudVendor;
 use crate::sched::{ServerlessScheduler, StartKind};
 use crate::telemetry::RunOutcome;
 use crate::tier::Tier;
 use crate::trace::{ComponentTrace, ExecutionTrace};
+use dd_obs::Recorder;
 use dd_stats::SeedStream;
 use dd_wfdag::{LanguageRuntime, WorkflowRun};
 
@@ -87,6 +100,61 @@ impl std::fmt::Debug for BuiltScheduler {
     }
 }
 
+/// The FaaS executor a serverless build runs on in [`run_policy`]. Its
+/// [`FaasConfig`] also supplies the vendor, faults and recovery of a
+/// cluster build, so both shapes see one fault plan.
+pub enum Substrate<'e> {
+    /// The closed-form analytic executor.
+    Analytic(&'e mut FaasExecutor),
+    /// The discrete-event executor, reusing the session's allocations.
+    Des(&'e DesFaasExecutor, &'e mut DesSession),
+}
+
+impl Substrate<'_> {
+    fn config(&self) -> &FaasConfig {
+        match self {
+            Substrate::Analytic(e) => e.config(),
+            Substrate::Des(e, _) => e.config(),
+        }
+    }
+}
+
+/// Builds `policy` for `ctx.run` and runs the build on its substrate.
+///
+/// A serverless build runs on `on` with `recorder` attached; a cluster
+/// build runs [`ClusterPolicy::execute_faulted`] (its recorder stays
+/// empty: cluster execution emits no FaaS events) and, when `traced`,
+/// synthesizes its trace with [`ClusterPolicy::trace`].
+pub fn run_policy(
+    policy: &dyn SchedulerPolicy,
+    ctx: &PolicyContext<'_>,
+    on: Substrate<'_>,
+    recorder: Option<&mut dyn Recorder>,
+    traced: bool,
+) -> RunReport {
+    let (run, runtimes) = (ctx.run, ctx.runtimes);
+    match policy.build(ctx) {
+        BuiltScheduler::Serverless(mut scheduler) => {
+            let mut req = RunRequest::new(run, runtimes, scheduler.as_mut());
+            if let Some(recorder) = recorder {
+                req = req.with_recorder(recorder);
+            }
+            req.collect_trace = traced;
+            match on {
+                Substrate::Analytic(executor) => executor.run(req),
+                Substrate::Des(executor, session) => executor.run_with(session, req),
+            }
+        }
+        BuiltScheduler::Cluster(cluster) => {
+            let cfg = on.config();
+            let outcome =
+                cluster.execute_faulted(run, runtimes, cfg.vendor, cfg.faults, cfg.recovery);
+            let trace = traced.then(|| cluster.trace(run, &outcome));
+            RunReport { outcome, trace }
+        }
+    }
+}
+
 /// A named, registrable scheduling policy.
 ///
 /// Implementations are factories, not schedulers: [`SchedulerPolicy::build`]
@@ -120,8 +188,7 @@ pub trait SchedulerPolicy: Send + Sync {
 /// deterministic [`FaultPlan`] (a gang-scheduled phase cannot finish
 /// before its slowest retried node) and [`ClusterPolicy::trace`]
 /// synthesizes the per-component execution trace the CLI artifacts
-/// expect. Both are byte-identical ports of the pre-trait adapters
-/// (dd-bench's `pegasus_with_faults`, dd-cli's `pegasus_trace`).
+/// expect; [`run_policy`] calls both.
 pub trait ClusterPolicy: Send + Sync {
     /// Report name.
     fn name(&self) -> &'static str;

@@ -9,10 +9,11 @@
 //! cargo run --release --example exafel_study -- 25
 //! ```
 
-use daydream::platform::{BuiltScheduler, CloudVendor, FaasExecutor, PolicyContext, RunOutcome};
+use daydream::platform::{
+    run_policy, CloudVendor, FaasExecutor, PolicyContext, RunOutcome, Substrate,
+};
 use daydream::stats::SeedStream;
 use daydream::wfdag::{RunGenerator, Workflow, WorkflowSpec};
-use dd_platform::{Executor, RunRequest};
 
 fn main() {
     let n_runs: usize = std::env::args()
@@ -53,12 +54,8 @@ fn main() {
             seeds: SeedStream::new(7).derive_index(idx as u64),
         };
         for (_, policy, outcomes) in &mut results {
-            outcomes.push(match policy.build(&ctx) {
-                BuiltScheduler::Serverless(mut s) => executor
-                    .run(RunRequest::new(&run, &runtimes, s.as_mut()))
-                    .into_outcome(),
-                BuiltScheduler::Cluster(c) => c.execute(&run, &runtimes, CloudVendor::Aws),
-            });
+            let on = Substrate::Analytic(&mut executor);
+            outcomes.push(run_policy(policy.as_ref(), &ctx, on, None, false).into_outcome());
         }
         eprint!("\rrun {}/{n_runs} done", idx + 1);
     }

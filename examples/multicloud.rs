@@ -2,17 +2,18 @@
 //! and Azure parameter sets.
 //!
 //! The vendor profiles differ in per-second pricing and start-up latency;
-//! the claim is that DayDream's relative advantage over Wild and Pegasus
-//! survives both.
+//! the claim is that DayDream's relative advantage over Wild survives
+//! both.
 //!
 //! ```bash
 //! cargo run --release --example multicloud
 //! ```
 
-use daydream::platform::{BuiltScheduler, CloudVendor, FaasConfig, FaasExecutor, PolicyContext};
+use daydream::platform::{
+    run_policy, CloudVendor, FaasConfig, FaasExecutor, PolicyContext, Substrate,
+};
 use daydream::stats::SeedStream;
 use daydream::wfdag::{RunGenerator, Workflow, WorkflowSpec};
-use dd_platform::{Executor, RunRequest};
 
 fn main() {
     let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(2);
@@ -28,7 +29,6 @@ fn main() {
     };
     let daydream = prepared("daydream");
     let wild = prepared("wild");
-    let pegasus = prepared("pegasus");
 
     println!(
         "{:<14} {:>14} {:>12} {:>14} {:>12}",
@@ -43,7 +43,6 @@ fn main() {
         let mut dd_cost = 0.0;
         let mut wi_time = 0.0;
         let mut wi_cost = 0.0;
-        let mut pe_time = 0.0;
         let n_runs = 5;
         for idx in 0..n_runs {
             let run = generator.generate(idx);
@@ -53,25 +52,16 @@ fn main() {
                 vendor,
                 seeds: SeedStream::new(3).derive_index(idx as u64),
             };
-            let serverless = |built: BuiltScheduler| match built {
-                BuiltScheduler::Serverless(s) => s,
-                BuiltScheduler::Cluster(_) => unreachable!("serverless policy"),
+            let mut run_one = |policy: &dyn daydream::platform::SchedulerPolicy| {
+                let on = Substrate::Analytic(&mut executor);
+                run_policy(policy, &ctx, on, None, false).into_outcome()
             };
-            let mut dd = serverless(daydream.build(&ctx));
-            let outcome = executor
-                .run(RunRequest::new(&run, &runtimes, dd.as_mut()))
-                .into_outcome();
+            let outcome = run_one(daydream.as_ref());
             dd_time += outcome.service_time_secs;
             dd_cost += outcome.service_cost();
-            let mut wi = serverless(wild.build(&ctx));
-            let outcome = executor
-                .run(RunRequest::new(&run, &runtimes, wi.as_mut()))
-                .into_outcome();
+            let outcome = run_one(wild.as_ref());
             wi_time += outcome.service_time_secs;
             wi_cost += outcome.service_cost();
-            if let BuiltScheduler::Cluster(cluster) = pegasus.build(&ctx) {
-                pe_time += cluster.execute(&run, &runtimes, vendor).service_time_secs;
-            }
         }
         println!(
             "{:<14} {:>14.0} {:>11.1}% {:>14.4} {:>11.1}%",
@@ -81,7 +71,6 @@ fn main() {
             dd_cost / n_runs as f64,
             (dd_cost / wi_cost - 1.0) * 100.0,
         );
-        let _ = pe_time;
     }
     println!(
         "\n(negative = DayDream better; paper reports -14% time / -9% cost vs Wild on average)"

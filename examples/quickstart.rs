@@ -5,10 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use daydream::platform::{BuiltScheduler, CloudVendor, FaasExecutor, PolicyContext, RunRequest};
+use daydream::platform::{run_policy, CloudVendor, FaasExecutor, PolicyContext, Substrate};
 use daydream::stats::SeedStream;
 use daydream::wfdag::{RunGenerator, Workflow, WorkflowSpec};
-use dd_platform::Executor;
 
 fn main() {
     // 1. The workload: the Cosmoscout-VR workflow, scaled down so the
@@ -48,12 +47,14 @@ fn main() {
             vendor: CloudVendor::Aws,
             seeds: SeedStream::new(7),
         };
-        let outcome = match policy.build(&ctx) {
-            BuiltScheduler::Serverless(mut scheduler) => executor
-                .run(RunRequest::new(&run, &runtimes, scheduler.as_mut()))
-                .into_outcome(),
-            BuiltScheduler::Cluster(cluster) => cluster.execute(&run, &runtimes, CloudVendor::Aws),
-        };
+        let outcome = run_policy(
+            policy.as_ref(),
+            &ctx,
+            Substrate::Analytic(&mut executor),
+            None,
+            false,
+        )
+        .into_outcome();
         let (w, h, c) = outcome.start_counts();
         println!(
             "{:<12} {:>12.1} {:>12.5} {:>8} {:>8} {:>8}",

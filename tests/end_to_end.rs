@@ -9,7 +9,9 @@ use daydream::core::{DayDreamConfig, DayDreamHistory, DayDreamScheduler};
 use daydream::platform::{FaasConfig, FaasExecutor, PoolTrigger, RunOutcome};
 use daydream::stats::SeedStream;
 use daydream::wfdag::{RunGenerator, Workflow, WorkflowRun, WorkflowSpec};
-use dd_platform::{BuiltScheduler, CloudVendor, Executor, PolicyContext, RunRequest};
+use dd_platform::{
+    run_policy, BuiltScheduler, CloudVendor, Executor, PolicyContext, RunRequest, Substrate,
+};
 
 fn setup(wf: Workflow, scale: usize) -> (RunGenerator, Vec<daydream::wfdag::LanguageRuntime>) {
     let spec = WorkflowSpec::new(wf).scaled_down(scale);
@@ -102,15 +104,14 @@ fn headline_ordering_all_workflows() {
         let pegasus = daydream::baselines::registry()
             .create("pegasus")
             .expect("registered policy");
-        let BuiltScheduler::Cluster(cluster) = pegasus.build(&PolicyContext {
+        let ctx = PolicyContext {
             run: &run,
             runtimes: &runtimes,
             vendor: CloudVendor::Aws,
             seeds: SeedStream::new(0),
-        }) else {
-            panic!("pegasus is a cluster policy");
         };
-        let p = cluster.execute(&run, &runtimes, CloudVendor::Aws);
+        let on = Substrate::Analytic(&mut exec);
+        let p = run_policy(pegasus.as_ref(), &ctx, on, None, false).into_outcome();
 
         assert!(
             o.service_time_secs <= d.service_time_secs * 1.02,

@@ -5,8 +5,7 @@
 //!    order from both),
 //! 2. attaching a recorder never changes the simulated outcome (recording
 //!    is write-only telemetry),
-//! 3. the deprecated pre-trait entry points still compile and agree with
-//!    the unified [`Executor`] API (back-compat shims).
+//! 3. exports reproduce run to run.
 
 use daydream_core::{DayDreamHistory, DayDreamScheduler};
 use dd_obs::export;
@@ -76,27 +75,22 @@ fn exports_byte_identical_across_executors() {
 #[test]
 fn exports_byte_identical_under_fault_injection() {
     let (run, runtimes, history) = setup(12);
-    let faults = FaultConfig::uniform(0.08).with_seed(5);
-    let recovery = RecoveryPolicy::speculative();
+    let config = FaasConfig {
+        faults: FaultConfig::uniform(0.08).with_seed(5),
+        recovery: RecoveryPolicy::speculative(),
+        ..FaasConfig::default()
+    };
 
     let mut analytic_rec = MemoryRecorder::new();
     let mut s = scheduler(&history);
-    let _ = FaasExecutor::aws()
-        .run(
-            RunRequest::new(&run, &runtimes, &mut s)
-                .with_faults(faults, recovery)
-                .with_recorder(&mut analytic_rec),
-        )
+    let _ = FaasExecutor::new(config)
+        .run(RunRequest::new(&run, &runtimes, &mut s).with_recorder(&mut analytic_rec))
         .into_outcome();
 
     let mut des_rec = MemoryRecorder::new();
     let mut s = scheduler(&history);
-    let _ = DesFaasExecutor::aws()
-        .run(
-            RunRequest::new(&run, &runtimes, &mut s)
-                .with_faults(faults, recovery)
-                .with_recorder(&mut des_rec),
-        )
+    let _ = DesFaasExecutor::new(config)
+        .run(RunRequest::new(&run, &runtimes, &mut s).with_recorder(&mut des_rec))
         .into_outcome();
 
     assert_eq!(export::to_jsonl(&analytic_rec), export::to_jsonl(&des_rec));

@@ -19,8 +19,11 @@
 //!    ```
 //!
 //! 2. **Executor agreement under faults.** The analytic and DES
-//!    executors must produce identical outcomes, execution traces, and
-//!    recorder exports with fault injection and recovery active.
+//!    executors must produce identical run reports (outcome and
+//!    execution trace) and recorder exports with fault injection and
+//!    recovery active — uncapped, and under the serve stream's per-run
+//!    configuration (a `provisioned_concurrency` cap below the requested
+//!    pool and a tenant-salted fault seed), which runs only on the DES.
 //!
 //! 3. **Session reuse.** A reused `DesSession` (arena allocations kept
 //!    across runs) must reproduce fresh-session results exactly.
@@ -33,15 +36,13 @@
 #![allow(clippy::float_cmp)]
 
 use daydream::core::{DayDreamHistory, DayDreamScheduler};
-use daydream::platform::{FaasConfig, FaasExecutor, RunOutcome};
+use daydream::platform::{FaasConfig, FaasExecutor};
 use daydream::stats::SeedStream;
 use daydream::wfdag::{RunGenerator, Workflow, WorkflowSpec};
 use dd_bench::figures;
 use dd_bench::ExperimentContext;
 use dd_obs::{export, MemoryRecorder};
-use dd_platform::{
-    DesFaasExecutor, DesSession, ExecutionTrace, Executor, FaultConfig, RecoveryPolicy, RunRequest,
-};
+use dd_platform::{DesFaasExecutor, DesSession, Executor, FaultConfig, RunReport, RunRequest};
 
 /// FNV-1a 64-bit: tiny, dependency-free, stable across platforms.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -123,57 +124,83 @@ fn history_for(gen: &RunGenerator) -> DayDreamHistory {
     h
 }
 
-/// Runs one faulty DayDream run on either executor, capturing outcome,
-/// trace, and the full recorder export.
+/// Runs one faulty DayDream run on either executor under `config`,
+/// capturing the traced report and the full recorder export.
 fn faulty_run(
     wf: Workflow,
     run_index: usize,
+    config: FaasConfig,
     des: bool,
-) -> (RunOutcome, ExecutionTrace, String, String) {
+) -> (RunReport, String, String) {
     let (gen, runtimes) = setup(wf);
     let run = gen.generate(run_index);
     let history = history_for(&gen);
     let mut sched = DayDreamScheduler::aws(&history, SeedStream::new(41));
     let mut rec = MemoryRecorder::new();
-    let faults = FaultConfig::uniform(0.08).with_seed(13);
     let req = RunRequest::new(&run, &runtimes, &mut sched)
         .traced()
-        .with_faults(faults, RecoveryPolicy::default())
         .with_recorder(&mut rec);
     let report = if des {
-        DesFaasExecutor::new(FaasConfig::default()).run(req)
+        DesFaasExecutor::new(config).run(req)
     } else {
-        FaasExecutor::new(FaasConfig::default()).run(req)
+        FaasExecutor::new(config).run(req)
     };
-    let (outcome, trace) = report.into_traced();
-    (
-        outcome,
-        trace,
-        export::to_jsonl(&rec),
-        export::summary(&rec),
-    )
+    (report, export::to_jsonl(&rec), export::summary(&rec))
+}
+
+/// Pool cap of the serve-shaped configuration: below the pool DayDream
+/// requests on every run checked here (asserted, so the cap binds).
+const SERVE_POOL_CAP: usize = 3;
+
+/// The per-run configuration `dd_bench::simulate_stream` hands tenant
+/// `tenant`: the shared-pool cap and a fault seed salted by tenant id.
+fn serve_config(tenant: u32) -> FaasConfig {
+    let salted = 7u64.wrapping_add(u64::from(tenant).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    FaasConfig {
+        provisioned_concurrency: SERVE_POOL_CAP,
+        faults: FaultConfig::uniform(0.08).with_seed(salted),
+        ..FaasConfig::default()
+    }
 }
 
 #[test]
-fn executors_agree_bitwise_with_faults_on() {
+fn executors_agree_bitwise_under_faults() {
+    let uncapped = FaasConfig {
+        faults: FaultConfig::uniform(0.08).with_seed(13),
+        ..FaasConfig::default()
+    };
+    let max_pool = |r: &RunReport| r.outcome.phases.iter().map(|p| p.pool_size).max();
     for wf in Workflow::ALL {
         for run_index in [0, 1] {
-            let (ao, at, aj, asum) = faulty_run(wf, run_index, false);
-            let (bo, bt, bj, bsum) = faulty_run(wf, run_index, true);
-            assert_eq!(
-                ao.service_time_secs, bo.service_time_secs,
-                "{wf} run {run_index}: service time diverged"
-            );
-            assert_eq!(ao.ledger, bo.ledger, "{wf} run {run_index}: ledger");
-            assert_eq!(ao.phases, bo.phases, "{wf} run {run_index}: phases");
-            assert_eq!(ao.faults, bo.faults, "{wf} run {run_index}: fault stats");
-            assert_eq!(at, bt, "{wf} run {run_index}: execution trace");
-            assert_eq!(aj, bj, "{wf} run {run_index}: obs jsonl export");
-            assert_eq!(asum, bsum, "{wf} run {run_index}: obs summary");
+            let tenant = run_index as u32 + 1;
+            let mut max_pools = vec![];
+            for (shape, config) in [("uncapped", uncapped), ("serve", serve_config(tenant))] {
+                let at = format!("{wf} run {run_index} ({shape})");
+                let (a, aj, asum) = faulty_run(wf, run_index, config, false);
+                let (b, bj, bsum) = faulty_run(wf, run_index, config, true);
+                // Field by field first, so a failure names what diverged.
+                let (ao, bo) = (&a.outcome, &b.outcome);
+                assert_eq!(
+                    ao.service_time_secs, bo.service_time_secs,
+                    "{at}: service time"
+                );
+                assert_eq!(ao.ledger, bo.ledger, "{at}: ledger");
+                assert_eq!(ao.phases, bo.phases, "{at}: phases");
+                assert_eq!(ao.faults, bo.faults, "{at}: fault stats");
+                assert_eq!(a.trace, b.trace, "{at}: execution trace");
+                assert_eq!(a, b, "{at}: run report");
+                assert_eq!(aj, bj, "{at}: obs jsonl export");
+                assert_eq!(asum, bsum, "{at}: obs summary");
+                assert!(
+                    bo.faults.failures() > 0,
+                    "{at}: fault injection never fired — the faults-on \
+                     equivalence check is vacuous at this configuration"
+                );
+                max_pools.push(max_pool(&b));
+            }
             assert!(
-                bo.faults.failures() > 0,
-                "{wf} run {run_index}: fault injection never fired — the \
-                 faults-on equivalence check is vacuous at this configuration"
+                max_pools[0] > Some(SERVE_POOL_CAP as u32) && max_pools[1] <= Some(SERVE_POOL_CAP as u32),
+                "{wf} run {run_index}: the serve cap must bind (max pool uncapped vs capped: {max_pools:?})"
             );
         }
     }

@@ -1,13 +1,12 @@
 //! Registry-wide determinism: every policy behind `--policy <name>` must
 //! produce byte-identical results at any `--jobs` setting — clean and
-//! under fault injection — and the serverless policies must agree across
-//! the analytic and DES executors. Also the one place the deprecated
-//! pre-registry scheduler constructors are exercised, pinned against the
-//! registry-built equivalents.
+//! under fault injection — and on either substrate of
+//! `dd_platform::run_policy` (the analytic and DES executors; cluster
+//! builds take the same fault plan from both).
 
 use daydream::platform::{
-    BuiltScheduler, CloudVendor, DesFaasExecutor, Executor, FaasConfig, FaasExecutor, FaultConfig,
-    PolicyContext, RecoveryPolicy, RunRequest, SchedulerPolicy,
+    run_policy, DesFaasExecutor, DesSession, FaasConfig, FaasExecutor, FaultConfig, PolicyContext,
+    RecoveryPolicy, SchedulerPolicy, Substrate,
 };
 use daydream::stats::SeedStream;
 use daydream::wfdag::{RunGenerator, Workflow, WorkflowSpec};
@@ -35,38 +34,24 @@ fn execute(
     des: bool,
 ) -> String {
     let run = gen.generate(idx);
-    let runtimes = &gen.spec().runtimes;
-    let seeds = SeedStream::new(0xD0).derive_index(idx as u64);
-    match policy.build(&PolicyContext {
+    let ctx = PolicyContext {
         run: &run,
-        runtimes,
+        runtimes: &gen.spec().runtimes,
         vendor: config.vendor,
-        seeds,
-    }) {
-        BuiltScheduler::Serverless(mut s) => {
-            let req = RunRequest::new(&run, runtimes, s.as_mut());
-            let outcome = if des {
-                DesFaasExecutor::new(config).run(req).into_outcome()
-            } else {
-                FaasExecutor::new(config).run(req).into_outcome()
-            };
-            format!("{outcome:?}")
-        }
-        BuiltScheduler::Cluster(cluster) => format!(
-            "{:?}",
-            cluster.execute_faulted(
-                &run,
-                runtimes,
-                config.vendor,
-                config.faults,
-                config.recovery
-            )
-        ),
-    }
+        seeds: SeedStream::new(0xD0).derive_index(idx as u64),
+    };
+    let (mut analytic, des_executor) = (FaasExecutor::new(config), DesFaasExecutor::new(config));
+    let mut session = DesSession::new();
+    let on = if des {
+        Substrate::Des(&des_executor, &mut session)
+    } else {
+        Substrate::Analytic(&mut analytic)
+    };
+    format!("{:?}", run_policy(policy, &ctx, on, None, false).outcome)
 }
 
 /// Every registered policy, executed cleanly, is byte-identical at any
-/// worker count and (for the serverless policies) across executors.
+/// worker count and across executors.
 #[test]
 fn every_policy_is_jobs_invariant_and_executor_agnostic_clean() {
     let gen = generator();
@@ -77,18 +62,8 @@ fn every_policy_is_jobs_invariant_and_executor_agnostic_clean() {
         let parallel = dd_bench::par_map(8, 4, exec);
         assert_eq!(serial, parallel, "{name}: outcome depends on --jobs");
 
-        if matches!(
-            policy.build(&PolicyContext {
-                run: &gen.generate(0),
-                runtimes: &gen.spec().runtimes,
-                vendor: CloudVendor::Aws,
-                seeds: SeedStream::new(0xD0),
-            }),
-            BuiltScheduler::Serverless(_)
-        ) {
-            let des = execute(policy.as_ref(), &gen, 0, FaasConfig::default(), true);
-            assert_eq!(serial[0], des, "{name}: DES diverges from analytic");
-        }
+        let des = execute(policy.as_ref(), &gen, 0, FaasConfig::default(), true);
+        assert_eq!(serial[0], des, "{name}: DES diverges from analytic");
     }
 }
 
@@ -96,9 +71,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Under arbitrary fault seeds, rates and recovery policies, every
-    /// registered policy stays byte-identical at any `--jobs` setting,
-    /// and the serverless ones replay the same fault plan to the same
-    /// bytes on the DES executor.
+    /// registered policy stays byte-identical at any `--jobs` setting and
+    /// replays the same fault plan to the same bytes on the DES executor.
     #[test]
     fn every_policy_deterministic_under_faults(
         fault_seed in 0u64..100,
@@ -128,18 +102,7 @@ proptest! {
         let parallel = dd_bench::par_map(jobs, 3, exec);
         prop_assert_eq!(&serial, &parallel, "{}: faulty outcome depends on --jobs", name);
 
-        let serverless = matches!(
-            policy.build(&PolicyContext {
-                run: &gen.generate(0),
-                runtimes: &gen.spec().runtimes,
-                vendor: CloudVendor::Aws,
-                seeds: SeedStream::new(0xD0),
-            }),
-            BuiltScheduler::Serverless(_)
-        );
-        if serverless {
-            let des = execute(policy.as_ref(), &gen, 0, config, true);
-            prop_assert_eq!(&serial[0], &des, "{}: DES diverges from analytic under faults", name);
-        }
+        let des = execute(policy.as_ref(), &gen, 0, config, true);
+        prop_assert_eq!(&serial[0], &des, "{}: DES diverges from analytic under faults", name);
     }
 }
