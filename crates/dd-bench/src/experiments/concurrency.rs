@@ -9,7 +9,7 @@
 
 use crate::report::{pct_change, section, Table};
 use crate::workloads::{mean, ExperimentContext};
-use daydream_core::{DayDreamHistory, DayDreamScheduler};
+use daydream_core::DayDreamScheduler;
 use dd_platform::{Executor, RunRequest};
 use dd_platform::{FaasConfig, FaasExecutor};
 use dd_stats::SeedStream;
@@ -19,8 +19,7 @@ use dd_wfdag::Workflow;
 pub fn run(ctx: &ExperimentContext) -> String {
     let gen = ctx.generator(Workflow::CosmoscoutVr);
     let runtimes = gen.spec().runtimes.clone();
-    let mut history = DayDreamHistory::new();
-    history.learn_from_run(&gen.generate(1_000), 0.20, 24);
+    let history = ctx.history(Workflow::CosmoscoutVr);
 
     let runs: Vec<_> = (0..ctx.runs_per_workflow.min(3))
         .map(|i| gen.generate(i))

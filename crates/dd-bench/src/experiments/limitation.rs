@@ -14,7 +14,7 @@
 
 use crate::report::{pct_change, section, Table};
 use crate::workloads::ExperimentContext;
-use daydream_core::{DayDreamHistory, DayDreamScheduler};
+use daydream_core::DayDreamScheduler;
 use dd_platform::{Executor, RunRequest};
 use dd_platform::{FaasExecutor, StartupModel};
 use dd_stats::SeedStream;
@@ -39,8 +39,7 @@ pub fn run(ctx: &ExperimentContext) -> String {
     ];
 
     let gen = ctx.generator(Workflow::Ccl);
-    let mut history = DayDreamHistory::new();
-    history.learn_from_run(&gen.generate(1_000), 0.20, 24);
+    let history = ctx.history(Workflow::Ccl);
     let mut executor = FaasExecutor::aws();
     let startup = StartupModel::aws();
 

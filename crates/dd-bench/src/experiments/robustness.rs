@@ -21,7 +21,7 @@
 
 use crate::report::{pct_change, section, Table};
 use crate::workloads::{execute_policy_faulted, mean, ExperimentContext};
-use daydream_core::{DayDreamHistory, DayDreamPolicy};
+use daydream_core::DayDreamPolicy;
 use dd_baselines::{PegasusPolicy, WildPolicy};
 use dd_platform::{FaultConfig, RecoveryPolicy};
 use dd_stats::SeedStream;
@@ -42,8 +42,7 @@ pub(crate) const POLICIES: [RecoveryPolicy; 3] = [
 pub fn run(ctx: &ExperimentContext) -> String {
     let gen = ctx.generator(Workflow::ExaFel);
     let runtimes = gen.spec().runtimes.clone();
-    let mut history = DayDreamHistory::new();
-    history.learn_from_run(&gen.generate(1_000), 0.20, 24);
+    let history = ctx.history(Workflow::ExaFel);
     let runs: Vec<_> = (0..ctx.runs_per_workflow.min(3))
         .map(|i| gen.generate(i))
         .collect();

@@ -84,8 +84,9 @@ pub struct RunArgs {
     pub scale: usize,
     /// Output directory.
     pub out: PathBuf,
-    /// Verification tolerance, fractional (verify only; artifact: 0.10).
-    pub tolerance: f64,
+    /// Verification tolerance in percent, as given (verify only;
+    /// artifact: 10).
+    pub tolerance_pct: f64,
     /// Worker threads for executing runs (default: all cores). Results
     /// are byte-identical at any setting.
     pub jobs: usize,
@@ -281,7 +282,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut shared = SharedFlags::with_fault_seed(0);
     let mut workflow = None;
     let mut runs = 50usize;
-    let mut tolerance = 0.10f64;
+    let mut tolerance_pct = 10.0f64;
     let mut retry_policy = RecoveryPolicy::backoff();
     let listed = parse_flags(&args[1..], &mut shared, |flag| {
         match flag.name {
@@ -299,7 +300,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 if !(pct.is_finite() && pct >= 0.0) {
                     return Err("--tolerance must be a finite percentage >= 0".to_string());
                 }
-                tolerance = pct / 100.0;
+                tolerance_pct = pct;
             }
             "--retry-policy" => retry_policy = RecoveryPolicy::parse(flag.value()?)?,
             _ => return Ok(false),
@@ -317,7 +318,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         seed: shared.seed,
         scale: shared.scale,
         out: shared.out.ok_or("--out is required")?,
-        tolerance,
+        tolerance_pct,
         jobs: shared.jobs,
         fault_rate: shared.fault_rate,
         fault_seed: shared.fault_seed,
@@ -449,7 +450,7 @@ mod tests {
         match cmd {
             Command::Verify(a) => {
                 assert_eq!(a.workflow, Workflow::ExaFel);
-                assert!((a.tolerance - 0.05).abs() < 1e-12);
+                assert!((a.tolerance_pct - 5.0).abs() < 1e-12);
             }
             other => panic!("wrong command: {other:?}"),
         }

@@ -74,13 +74,24 @@ pub fn write_obs(
     fs::write(files.obs(format), rendered)
 }
 
+/// One value as a series line holds it (`%.6f`).
+fn format_value(v: f64) -> String {
+    format!("{v:.6}")
+}
+
+/// `v` as [`read_series`] reads it back from a written series: rounded
+/// to the six decimals a line keeps.
+pub(crate) fn as_written(v: f64) -> f64 {
+    format_value(v).parse().unwrap_or(v)
+}
+
 /// Writes one value per line.
 fn write_series(path: &Path, values: &[f64]) -> std::io::Result<()> {
     // dd-lint: allow(par-purity): called only from the runner's sequential section after the par_map barrier; the fanned-out closures execute simulation only
     let file = fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(file);
-    for v in values {
-        writeln!(w, "{v:.6}")?;
+    for &v in values {
+        writeln!(w, "{}", format_value(v))?;
     }
     w.flush()
 }
@@ -107,20 +118,17 @@ pub fn read_series(path: &Path) -> std::io::Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Writes the three artifact files for one run.
+/// The three artifact series of one run, each with the file it goes to,
+/// in write order.
 ///
 /// Per-component execution cost is apportioned from the outcome's
-/// execution ledger by each component's busy share, so the file's sum
-/// equals the run's execution cost exactly.
-pub fn write_run_outputs(
+/// execution ledger by each component's busy share, so the series sums
+/// to the run's execution cost.
+pub(crate) fn run_series(
     files: &RunFiles,
     outcome: &RunOutcome,
     trace: &ExecutionTrace,
-) -> std::io::Result<()> {
-    fs::create_dir_all(&files.dir)?;
-    write_series(&files.phase_time(), &trace.phase_times())?;
-    write_series(&files.function_service_time(), &trace.service_times())?;
-
+) -> [(PathBuf, Vec<f64>); 3] {
     let busy_total: f64 = trace.components.iter().map(|c| c.busy_secs()).sum();
     let costs: Vec<f64> = trace
         .components
@@ -133,7 +141,24 @@ pub fn write_run_outputs(
             }
         })
         .collect();
-    write_series(&files.execution_cost(), &costs)
+    [
+        (files.phase_time(), trace.phase_times()),
+        (files.function_service_time(), trace.service_times()),
+        (files.execution_cost(), costs),
+    ]
+}
+
+/// Writes the three artifact files for one run ([`run_series`]).
+pub fn write_run_outputs(
+    files: &RunFiles,
+    outcome: &RunOutcome,
+    trace: &ExecutionTrace,
+) -> std::io::Result<()> {
+    fs::create_dir_all(&files.dir)?;
+    for (path, values) in run_series(files, outcome, trace) {
+        write_series(&path, &values)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

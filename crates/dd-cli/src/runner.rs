@@ -1,7 +1,7 @@
 //! Command execution: run the workload, write/verify artifact files.
 
 use crate::args::{Command, RunArgs, ServeArgs};
-use crate::output::{read_series, write_obs, write_run_outputs, RunFiles};
+use crate::output::{as_written, read_series, run_series, write_obs, write_run_outputs, RunFiles};
 use dd_baselines::registry;
 use dd_bench::{simulate_stream, TrafficOutcome, TrafficParams};
 use dd_obs::MemoryRecorder;
@@ -187,11 +187,13 @@ pub fn verify_against(args: &RunArgs) -> Result<String, String> {
             Ok((fresh - baseline).abs() / baseline.abs().max(1e-12))
         };
 
-        let total_phase: f64 = trace.phase_times().iter().sum();
-        let total_service: f64 = trace.service_times().iter().sum();
-        let e1 = compare(files.phase_time(), total_phase)?;
-        let e2 = compare(files.function_service_time(), total_service)?;
-        let e3 = compare(files.execution_cost(), outcome.ledger.execution)?;
+        // The fresh side goes through the writer's series and rounding,
+        // so an exact reproduction deviates by exactly zero.
+        let mut errors = [0.0; 3];
+        for (error, (path, fresh)) in errors.iter_mut().zip(run_series(&files, &outcome, &trace)) {
+            *error = compare(path, fresh.iter().map(|&v| as_written(v)).sum())?;
+        }
+        let [e1, e2, e3] = errors;
         let run_worst = e1.max(e2).max(e3);
         worst = worst.max(run_worst);
         report.push_str(&format!(
@@ -201,19 +203,19 @@ pub fn verify_against(args: &RunArgs) -> Result<String, String> {
             e2 * 100.0,
             e3 * 100.0
         ));
-        if run_worst > args.tolerance {
+        if run_worst * 100.0 > args.tolerance_pct {
             return Err(format!(
-                "run-{} deviates {:.1}% (> {:.0}% bound)\n{report}",
+                "run-{} deviates {:.1}% (> {}% bound)\n{report}",
                 idx + 1,
                 run_worst * 100.0,
-                args.tolerance * 100.0
+                args.tolerance_pct
             ));
         }
     }
     report.push_str(&format!(
-        "REPRODUCED: all {} runs within the {:.0}% bound (worst {:.2}%)",
+        "REPRODUCED: all {} runs within the {}% bound (worst {:.2}%)",
         args.runs,
-        args.tolerance * 100.0,
+        args.tolerance_pct,
         worst * 100.0
     ));
     Ok(report)
@@ -347,7 +349,7 @@ mod tests {
             seed: 5,
             scale: 20,
             out,
-            tolerance: 0.10,
+            tolerance_pct: 10.0,
             jobs: 2,
             fault_rate: 0.0,
             fault_seed: 0,
@@ -524,6 +526,39 @@ mod tests {
         let tripled: String = values.iter().map(|v| format!("{:.6}\n", v * 3.0)).collect();
         std::fs::write(&path, tripled).unwrap();
         assert!(verify_against(&a).is_err());
+        let _ = std::fs::remove_dir_all(out);
+    }
+
+    #[test]
+    fn verify_bound_is_exact_and_printed_as_given() {
+        // The files hold six decimals; the fresh side must be rounded the
+        // same way, or an exact reproduction deviates by ~0.03%.
+        let out = tmpdir("zero-tol");
+        let a = RunArgs {
+            tolerance_pct: 0.0,
+            ..args("daydream", out.clone())
+        };
+        execute_all(&a, |_, _| {}).unwrap();
+        let report = verify_against(&a).unwrap();
+        assert!(
+            report.contains("within the 0% bound (worst 0.00%)"),
+            "{report}"
+        );
+        // The bound prints at the precision it was given.
+        let half = RunArgs {
+            tolerance_pct: 0.5,
+            ..a.clone()
+        };
+        let report = verify_against(&half).unwrap();
+        assert!(report.contains("within the 0.5% bound"), "{report}");
+        // A tampered file still fails at the zero bound.
+        let path = RunFiles::new(&out, 2).execution_cost();
+        let mut values = read_series(&path).unwrap();
+        values[0] += 0.001;
+        let edited: String = values.iter().map(|v| format!("{v:.6}\n")).collect();
+        std::fs::write(&path, edited).unwrap();
+        let err = verify_against(&a).unwrap_err();
+        assert!(err.starts_with("run-2 deviates"), "{err}");
         let _ = std::fs::remove_dir_all(out);
     }
 

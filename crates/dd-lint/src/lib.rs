@@ -22,7 +22,7 @@
 //! individual findings (the justification is mandatory and itself
 //! linted). The `dd-lint` binary walks every non-vendor `src/` tree,
 //! prints findings as `file:line:column: [rule] message` (`--format
-//! json` / `--format sarif` for machines), optionally dumps the call
+//! sarif` for machines), optionally dumps the call
 //! graph with `--emit callgraph.dot`, and exits nonzero when any
 //! unsuppressed finding remains.
 
@@ -260,38 +260,6 @@ pub fn render_human(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as stable JSON:
-/// `{"version":1,"findings":[{file,line,column,rule,message}..],"counts":{rule:n..}}`.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"version\":1,\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":{},\"line\":{},\"column\":{},\"rule\":{},\"message\":{}}}",
-            json_str(&f.file),
-            f.line,
-            f.column,
-            json_str(&f.rule),
-            json_str(&f.message),
-        ));
-    }
-    out.push_str("],\"counts\":{");
-    let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for f in findings {
-        *counts.entry(&f.rule).or_default() += 1;
-    }
-    for (i, (rule, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", json_str(rule), n));
-    }
-    out.push_str("}}");
-    out
-}
-
 /// Minimal JSON string escaping.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -325,14 +293,6 @@ mod tests {
     #[test]
     fn json_escaping() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn json_shape_empty() {
-        assert_eq!(
-            render_json(&[]),
-            "{\"version\":1,\"findings\":[],\"counts\":{}}"
-        );
     }
 
     #[test]

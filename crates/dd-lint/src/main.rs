@@ -2,7 +2,7 @@
 //! unsuppressed finding.
 //!
 //! ```text
-//! dd-lint [--format human|json|sarif] [--emit PATH] [--effects PATH]
+//! dd-lint [--format human|sarif] [--emit PATH] [--effects PATH]
 //!         [--explain PATTERN] [--root DIR]
 //! ```
 //!
@@ -27,11 +27,10 @@ use std::process::ExitCode;
 
 enum Format {
     Human,
-    Json,
     Sarif,
 }
 
-const USAGE: &str = "usage: dd-lint [--format human|json|sarif] [--emit PATH] \
+const USAGE: &str = "usage: dd-lint [--format human|sarif] [--emit PATH] \
                      [--effects PATH] [--explain PATTERN] [--root DIR]";
 
 /// Parsed command line.
@@ -87,9 +86,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         match arg.as_str() {
             "--format" => match it.next().map(String::as_str) {
                 Some("human") => opts.format = Format::Human,
-                Some("json") => opts.format = Format::Json,
                 Some("sarif") => opts.format = Format::Sarif,
-                other => return Err(format!("--format expects human|json|sarif, got {other:?}")),
+                other => return Err(format!("--format expects human|sarif, got {other:?}")),
             },
             "--root" => match it.next() {
                 Some(dir) => opts.root = Some(PathBuf::from(dir)),
@@ -144,13 +142,12 @@ fn run(opts: &Options, root: &Path) -> u8 {
     let findings = &analysis.findings;
     let rendered = match opts.format {
         Format::Human => dd_lint::render_human(findings),
-        Format::Json => dd_lint::render_json(findings),
         Format::Sarif => {
             dd_lint::render_sarif_with_effects(findings, Some(&analysis.effect_table()))
         }
     };
     print!("{rendered}");
-    if matches!(opts.format, Format::Json | Format::Sarif) {
+    if matches!(opts.format, Format::Sarif) {
         println!();
     }
     u8::from(!findings.is_empty())

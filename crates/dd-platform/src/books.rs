@@ -23,7 +23,7 @@ use crate::telemetry::{CostLedger, PhaseRecord, RunOutcome, Utilization};
 use crate::tier::Tier;
 use crate::trace::{AttemptTrace, ComponentTrace, ExecutionTrace, PoolTrace};
 use dd_obs::Recorder;
-use dd_wfdag::{ComponentInstance, LanguageRuntime, WorkflowRun};
+use dd_wfdag::{LanguageRuntime, WorkflowRun};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -169,7 +169,7 @@ impl<'a> RunBooks<'a> {
         phase: usize,
         decided_at: SimTime,
         scratch: &mut PhaseScratch,
-        mut on_finish: impl FnMut(SimTime, &ComponentInstance),
+        mut on_finish: impl FnMut(SimTime),
     ) -> PhaseTally {
         let run = self.run;
         let components = &run.phases[phase].components;
@@ -349,7 +349,7 @@ impl<'a> RunBooks<'a> {
                 component.mem_gb,
                 startup.data_fetch_secs(component, tier) + write,
             );
-            on_finish(finish, component);
+            on_finish(finish);
         }
 
         // Unused pool instances are terminated now; their whole lifetime

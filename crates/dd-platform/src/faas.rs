@@ -139,9 +139,8 @@ impl Executor for FaasExecutor {
         let mut now = SimTime::ZERO;
         for (idx, phase) in run.phases.iter().enumerate() {
             store.begin_phase(idx, phase.components.len());
-            let mut tally = books.start_phase(idx, now, &mut scratch, |finish, component| {
-                store.record_read(component.read_mb);
-                store.record_output(idx, finish, component.write_mb);
+            let mut tally = books.start_phase(idx, now, &mut scratch, |finish| {
+                store.record_output(idx, finish);
             });
             let notifications = store.notifications(idx);
             let trigger_at = match self.platform.config.trigger {

@@ -5,7 +5,10 @@
 //! start). [`DesFaasExecutor`] runs the *same semantics* on the
 //! discrete-event core ([`crate::des::EventQueue`]): component
 //! completions, the half-phase storage notification and phase boundaries
-//! are explicit events popped in time order.
+//! are explicit events popped in time order. A phase starts only once
+//! every output of the previous one is stored, so the queue never holds
+//! more than one phase's completion events and the executor keeps state
+//! for the phase in flight only.
 //!
 //! Both drive one shared execution core (placement, fault timelines,
 //! billing, pools, trace and recorder emission) and keep only their own
@@ -49,8 +52,7 @@ enum Event {
     ComponentDone { phase: usize },
 }
 
-/// The per-event-hot slice of a phase's state: the three fields every
-/// `ComponentDone` event touches, packed into one cache line per phase.
+/// Completion progress of the phase in flight.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseCounters {
     expected: u32,
@@ -58,25 +60,15 @@ struct PhaseCounters {
     half_fired: bool,
 }
 
-/// Struct-of-arrays phase state: `counters[p]` is the hot slice, `cold[p]`
-/// the tally read only at the trigger and at phase end, so completion
-/// events do not drag its bytes through the cache (lock-step vectors).
-#[derive(Debug, Default)]
-struct PhaseStateSoA {
-    counters: Vec<PhaseCounters>,
-    cold: Vec<PhaseTally>,
-}
-
 /// Reusable simulation state for [`DesFaasExecutor`].
 ///
-/// Keeps the event heap and per-phase buffers allocated across
+/// Keeps the event heap and the phase scratch buffers allocated across
 /// [`DesFaasExecutor::run_with`] calls of a multi-run sweep. It is fully
 /// reset at the start of each execution, so results are bit-identical to
 /// a fresh [`Executor::run`] (the workspace test suite asserts this).
 #[derive(Debug, Default)]
 pub struct DesSession {
     queue: EventQueue<Event>,
-    progress: PhaseStateSoA,
     scratch: PhaseScratch,
 }
 
@@ -139,18 +131,15 @@ impl DesFaasExecutor {
     /// Panics if a phase has no components or the scheduler returns
     /// malformed placements, exactly as [`FaasExecutor`] does.
     pub fn run_with(&self, session: &mut DesSession, req: RunRequest<'_>) -> RunReport {
-        let DesSession {
-            queue,
-            progress,
-            scratch,
-        } = session;
+        let DesSession { queue, scratch } = session;
         queue.clear();
-        progress.counters.clear();
-        progress.cold.clear();
         let mut books = RunBooks::open(self.platform, req, scratch);
         let run = books.run;
-        progress.counters.reserve(run.phases.len());
-        progress.cold.reserve(run.phases.len());
+        // Phase k+1 starts only once every output of phase k is stored
+        // (its last `ComponentDone` pushes the next `PhaseStart`), so the
+        // phase in flight is the only one with state.
+        let mut ctr = PhaseCounters::default();
+        let mut tally = PhaseTally::default();
         let mut end_time = SimTime::ZERO;
         if !run.phases.is_empty() {
             queue.push(SimTime::ZERO, Event::PhaseStart { phase: 0 });
@@ -163,24 +152,16 @@ impl DesFaasExecutor {
             events_popped += 1;
             match event {
                 Event::PhaseStart { phase } => {
-                    let tally = books.start_phase(phase, at, scratch, |finish, _| {
+                    tally = books.start_phase(phase, at, scratch, |finish| {
                         queue.push(finish, Event::ComponentDone { phase });
                     });
-                    dd_debug_invariant!(
-                        progress.cold.len() == phase,
-                        "phase {phase} started out of order ({} records)",
-                        progress.cold.len()
-                    );
-                    progress.counters.push(PhaseCounters {
+                    ctr = PhaseCounters {
                         expected: run.phases[phase].concurrency(),
                         completed: 0,
                         half_fired: false,
-                    });
-                    progress.cold.push(tally);
+                    };
                 }
                 Event::ComponentDone { phase } => {
-                    let ctr = &mut progress.counters[phase];
-                    let tally = &mut progress.cold[phase];
                     ctr.completed += 1;
                     let phase_done = ctr.completed == ctr.expected;
                     // Half-phase trigger (or phase-complete, per config).
@@ -191,10 +172,10 @@ impl DesFaasExecutor {
                         };
                     if trigger_now {
                         ctr.half_fired = true;
-                        books.trigger(tally, at, scratch);
+                        books.trigger(&mut tally, at, scratch);
                     }
                     if phase_done {
-                        books.finish_phase(tally, at);
+                        books.finish_phase(&mut tally, at);
                         end_time = at;
                         if phase + 1 < run.phases.len() {
                             queue.push(at, Event::PhaseStart { phase: phase + 1 });

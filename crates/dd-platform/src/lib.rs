@@ -31,8 +31,8 @@
 //! // hot-start trigger) and at full completion (next phase starts).
 //! let mut store = BackendStore::new();
 //! store.begin_phase(0, 4);
-//! for (i, t) in [4.0, 1.0, 3.0, 2.0].into_iter().enumerate() {
-//!     store.record_output(0, SimTime::from_secs(t), i as f64);
+//! for t in [4.0, 1.0, 3.0, 2.0] {
+//!     store.record_output(0, SimTime::from_secs(t));
 //! }
 //! let n = store.notifications(0);
 //! assert_eq!(n.half_complete, SimTime::from_secs(2.0));
@@ -70,7 +70,7 @@ pub mod traffic;
 
 pub use cluster::{ClusterKind, ClusterSim};
 pub use contention::ContentionModel;
-pub use des::{BinaryHeapEventQueue, EventQueue, RadixEventQueue, SimTime};
+pub use des::{EventQueue, SimTime};
 pub use executor::{Executor, RunReport, RunRequest};
 pub use faas::{FaasConfig, FaasExecutor, PoolTrigger};
 pub use faas_des::{DesFaasExecutor, DesSession};

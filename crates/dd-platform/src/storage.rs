@@ -28,8 +28,6 @@ struct PhaseOutputs {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BackendStore {
     phases: Vec<PhaseOutputs>,
-    bytes_written_mb: f64,
-    bytes_read_mb: f64,
 }
 
 /// Notification thresholds computed for a completed phase.
@@ -65,19 +63,13 @@ impl BackendStore {
     }
 
     /// Records the arrival of one component's output for `phase_index`.
-    pub fn record_output(&mut self, phase_index: usize, at: SimTime, write_mb: f64) {
+    pub fn record_output(&mut self, phase_index: usize, at: SimTime) {
         let phase = &mut self.phases[phase_index];
         assert!(
             phase.arrivals.len() < phase.expected,
             "more outputs than components in phase {phase_index}"
         );
         phase.arrivals.push(at);
-        self.bytes_written_mb += write_mb;
-    }
-
-    /// Records a read of input data.
-    pub fn record_read(&mut self, read_mb: f64) {
-        self.bytes_read_mb += read_mb;
     }
 
     /// Computes the half-complete and complete notification instants of a
@@ -103,21 +95,6 @@ impl BackendStore {
             complete: *sorted.last().expect("non-empty phase"),
         }
     }
-
-    /// Total MB written to the store so far.
-    pub fn bytes_written_mb(&self) -> f64 {
-        self.bytes_written_mb
-    }
-
-    /// Total MB read from the store so far.
-    pub fn bytes_read_mb(&self) -> f64 {
-        self.bytes_read_mb
-    }
-
-    /// Number of phases registered.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 #[cfg(test)]
@@ -133,8 +110,8 @@ mod tests {
     fn half_and_full_notifications() {
         let mut store = BackendStore::new();
         store.begin_phase(0, 4);
-        for (i, at) in [3.0, 1.0, 4.0, 2.0].into_iter().enumerate() {
-            store.record_output(0, t(at), i as f64);
+        for at in [3.0, 1.0, 4.0, 2.0] {
+            store.record_output(0, t(at));
         }
         let n = store.notifications(0);
         // Sorted arrivals: 1,2,3,4 → half (2nd of 4) at 2.0, full at 4.0.
@@ -147,7 +124,7 @@ mod tests {
         let mut store = BackendStore::new();
         store.begin_phase(0, 5);
         for at in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            store.record_output(0, t(at), 0.0);
+            store.record_output(0, t(at));
         }
         // ceil(5/2) = 3rd arrival.
         assert_eq!(store.notifications(0).half_complete, t(3.0));
@@ -157,22 +134,10 @@ mod tests {
     fn single_component_phase() {
         let mut store = BackendStore::new();
         store.begin_phase(0, 1);
-        store.record_output(0, t(7.0), 1.0);
+        store.record_output(0, t(7.0));
         let n = store.notifications(0);
         assert_eq!(n.half_complete, t(7.0));
         assert_eq!(n.complete, t(7.0));
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let mut store = BackendStore::new();
-        store.begin_phase(0, 2);
-        store.record_output(0, t(1.0), 10.0);
-        store.record_output(0, t(2.0), 30.0);
-        store.record_read(5.0);
-        assert_eq!(store.bytes_written_mb(), 40.0);
-        assert_eq!(store.bytes_read_mb(), 5.0);
-        assert_eq!(store.phase_count(), 1);
     }
 
     #[test]
@@ -187,7 +152,7 @@ mod tests {
     fn notifications_require_all_outputs() {
         let mut store = BackendStore::new();
         store.begin_phase(0, 2);
-        store.record_output(0, t(1.0), 0.0);
+        store.record_output(0, t(1.0));
         let _ = store.notifications(0);
     }
 
@@ -196,7 +161,7 @@ mod tests {
     fn overflow_outputs_panics() {
         let mut store = BackendStore::new();
         store.begin_phase(0, 1);
-        store.record_output(0, t(1.0), 0.0);
-        store.record_output(0, t(2.0), 0.0);
+        store.record_output(0, t(1.0));
+        store.record_output(0, t(2.0));
     }
 }

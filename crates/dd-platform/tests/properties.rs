@@ -5,8 +5,8 @@
 #![allow(clippy::float_cmp)]
 
 use dd_platform::{
-    BackendStore, BinaryHeapEventQueue, CloudVendor, ClusterKind, ClusterSim, EventQueue,
-    PriceSheet, RadixEventQueue, SimTime, StartupModel, Tier,
+    BackendStore, CloudVendor, ClusterKind, ClusterSim, EventQueue, PriceSheet, SimTime,
+    StartupModel, Tier,
 };
 use dd_wfdag::{ComponentInstance, ComponentTypeId, LanguageRuntime, Phase};
 use proptest::prelude::*;
@@ -27,23 +27,62 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The event queue pops in non-decreasing time order and preserves
-    /// FIFO among equal timestamps, for any insertion order.
+    /// FIFO among equal timestamps, for any insertion order: on fine
+    /// times, and on a coarse grid (t/4) that forces exact ties. Under
+    /// monotone interleavings of pushes and pops (the simulators' domain:
+    /// events are scheduled at or after the clock) it matches a
+    /// `(time, seq)`-sorted model pop for pop.
     #[test]
-    fn event_queue_total_order(times in proptest::collection::vec(0.0f64..1_000.0, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, seq)) = q.pop() {
-            if let Some((pt, pseq)) = last {
-                prop_assert!(t >= pt);
-                if t == pt {
-                    prop_assert!(seq > pseq, "FIFO violated at equal time");
-                }
+    fn event_queue_total_order(
+        times in proptest::collection::vec(0.0f64..1_000.0, 1..200),
+        grid in proptest::collection::vec(0u32..50, 1..300),
+        ops in proptest::collection::vec((proptest::bool::ANY, 0u32..40), 1..300),
+    ) {
+        let fine: Vec<SimTime> = times.iter().map(|&t| SimTime::from_secs(t)).collect();
+        let coarse = grid.iter().map(|&t| SimTime::from_secs(f64::from(t) / 4.0)).collect();
+        for pushes in [fine, coarse] {
+            let mut q = EventQueue::new();
+            for (i, &t) in pushes.iter().enumerate() {
+                q.push(t, i);
             }
-            last = Some((t, seq));
+            let mut last: Option<(SimTime, usize)> = None;
+            while let Some((t, seq)) = q.pop() {
+                if let Some((pt, pseq)) = last {
+                    prop_assert!(t >= pt);
+                    if t == pt {
+                        prop_assert!(seq > pseq, "FIFO violated at equal time");
+                    }
+                }
+                last = Some((t, seq));
+            }
         }
+
+        let mut q = EventQueue::new();
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut clock = SimTime::ZERO;
+        for (i, &(is_pop, t)) in ops.iter().enumerate() {
+            if is_pop {
+                let expected = (!model.is_empty()).then(|| model.remove(0));
+                prop_assert_eq!(q.pop(), expected);
+                if let Some((at, _)) = expected {
+                    clock = at;
+                }
+            } else {
+                // Coarse offsets (t/4, often 0) force exact ties at and
+                // after the current clock.
+                let time = clock.after(f64::from(t) / 4.0);
+                q.push(time, i);
+                // Later pushes sort after earlier ones at equal times.
+                let at = model.partition_point(|&(mt, _)| mt <= time);
+                model.insert(at, (time, i));
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(mt, _)| mt));
+        }
+        for expected in model {
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert!(q.pop().is_none());
     }
 
     /// Storage notifications: half-complete is the ceil(n/2)-th smallest
@@ -53,7 +92,7 @@ proptest! {
         let mut store = BackendStore::new();
         store.begin_phase(0, arrivals.len());
         for &a in &arrivals {
-            store.record_output(0, SimTime::from_secs(a), 1.0);
+            store.record_output(0, SimTime::from_secs(a));
         }
         let n = store.notifications(0);
         let mut sorted = arrivals.clone();
@@ -133,62 +172,5 @@ proptest! {
         prop_assert_eq!(t.max(later), later);
         prop_assert_eq!(later.max(t), later);
         prop_assert_eq!(t.since(later), 0.0);
-    }
-
-    /// The radix queue's pop sequence is identical to the reference
-    /// BinaryHeap queue's for any sequence of pushes — including repeated
-    /// timestamps, whose FIFO tie-break must match (time, seq) order.
-    #[test]
-    fn radix_queue_matches_heap_oracle(
-        times in proptest::collection::vec(0u32..50, 1..300),
-    ) {
-        let mut radix = RadixEventQueue::new();
-        let mut heap = BinaryHeapEventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            // Coarse grid (t/4) forces many exact timestamp collisions.
-            let time = SimTime::from_secs(f64::from(t) / 4.0);
-            radix.push(time, i);
-            heap.push(time, i);
-        }
-        loop {
-            let (a, b) = (radix.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
-    }
-
-    /// Same oracle comparison under arbitrary interleavings of pushes and
-    /// pops in the simulators' (monotone) domain: events are always
-    /// scheduled at or after the current virtual clock, with heavy exact
-    /// timestamp collisions.
-    #[test]
-    fn radix_queue_interleaving_matches_oracle(
-        ops in proptest::collection::vec((proptest::bool::ANY, 0u32..40), 1..300),
-    ) {
-        let mut radix = RadixEventQueue::new();
-        let mut heap = BinaryHeapEventQueue::new();
-        let mut clock = SimTime::ZERO;
-        for (i, &(is_pop, t)) in ops.iter().enumerate() {
-            if is_pop {
-                let (a, b) = (radix.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(radix.len(), heap.len());
-                if let Some((at, _)) = a {
-                    clock = at;
-                }
-            } else {
-                // Coarse offsets (t/4, often 0) force exact ties at and
-                // after the current clock.
-                let time = clock.after(f64::from(t) / 4.0);
-                radix.push(time, i);
-                heap.push(time, i);
-                prop_assert_eq!(radix.peek_time(), heap.peek_time());
-            }
-        }
-        loop {
-            let (a, b) = (radix.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
     }
 }
